@@ -6,8 +6,8 @@
 // survive a later scratch request growing the arena), and (c) resident on
 // the NUMA node of the worker that fills them. A grow-only chunk arena gives
 // all three: chunks are never freed or reused while the arena lives, and
-// every page is touched at allocation time by the calling (owning) thread,
-// so Linux first-touch policy places it on that worker's node.
+// only the owning thread ever writes a chunk, so Linux first-touch policy
+// places each page on that worker's node when a buffer first uses it.
 //
 // Ownership rule: an arena is thread-local to one worker (see
 // `Blocked<T>::scratch()` in kernels.cpp); nothing hands arena pointers to
@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <vector>
@@ -56,11 +55,12 @@ class ScratchArena {
     // the site before any allocation (the scheduler turns it into a
     // structured TaskFailure instead of a bad_alloc abort).
     c.charge = ScopedCharge("scratch-arena", size);
+    // Left untouched: only the owning thread ever writes the chunk, so each
+    // page is first-touched, and placed on that thread's NUMA node, when a
+    // buffer first uses it. The doubling slack beyond what the buffers use
+    // stays virtual instead of resident.
     c.mem.reset(new std::byte[size]);
     c.size = size;
-    // First-touch every page from the owning thread: this, not the `new`,
-    // decides which NUMA node the pages land on.
-    std::memset(c.mem.get(), 0, size);
     chunks_.push_back(std::move(c));
     Chunk& back = chunks_.back();
     const auto base = reinterpret_cast<std::uintptr_t>(back.mem.get());

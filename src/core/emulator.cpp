@@ -67,10 +67,14 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
   plan_ = std::make_shared<const sht::SHTPlan>(L, grid);
   grid_ = grid;
 
+  const unsigned threads =
+      config_.threads == 0 ? common::default_thread_count() : config_.threads;
+
   // ---- Stage 1: per-location trend/scale (Eq. 2) -------------------------
   common::Timer stage;
   trend_.assign(static_cast<std::size_t>(num_points), stats::TrendModel{});
-  const stats::TrendFitConfig trend_cfg = config_.trend_config();
+  const stats::TrendFitter trend_fitter(T, annual_forcing,
+                                        config_.trend_config());
   common::parallel_for(
       0, num_points,
       [&](index_t p) {
@@ -82,20 +86,22 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
                 data.field(r, t)[static_cast<std::size_t>(p)];
           }
         }
-        trend_[static_cast<std::size_t>(p)] =
-            stats::fit_trend(y, R, T, annual_forcing, trend_cfg);
+        trend_[static_cast<std::size_t>(p)] = trend_fitter.fit(y, R);
       },
-      config_.threads == 0 ? common::default_thread_count() : config_.threads);
+      threads);
   report.trend_seconds = stage.seconds();
 
   // Cache m_t once (shared across ensembles).
   std::vector<std::vector<double>> trend_series_per_point(
       static_cast<std::size_t>(num_points));
-  common::parallel_for(0, num_points, [&](index_t p) {
-    trend_series_per_point[static_cast<std::size_t>(p)] =
-        stats::trend_series(trend_[static_cast<std::size_t>(p)], T,
-                            annual_forcing);
-  });
+  common::parallel_for(
+      0, num_points,
+      [&](index_t p) {
+        trend_series_per_point[static_cast<std::size_t>(p)] =
+            stats::trend_series(trend_[static_cast<std::size_t>(p)], T,
+                                annual_forcing);
+      },
+      threads);
 
   // ---- Stage 2: SHT of the standardized stochastic component -------------
   stage.reset();
@@ -141,7 +147,7 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
           into[static_cast<std::size_t>(p)] += from[static_cast<std::size_t>(p)];
         }
       },
-      config_.threads == 0 ? common::default_thread_count() : config_.threads);
+      threads);
   for (index_t p = 0; p < num_points; ++p) {
     nugget_var_[static_cast<std::size_t>(p)] =
         nugget_acc[static_cast<std::size_t>(p)] / static_cast<double>(R * T);
@@ -161,7 +167,7 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
         ar_[static_cast<std::size_t>(c)] =
             stats::fit_ar_ensemble(series, R, T, P);
       },
-      config_.threads == 0 ? common::default_thread_count() : config_.threads);
+      threads);
   report.ar_seconds = stage.seconds();
 
   // ---- Stage 4: innovation covariance + Cholesky --------------------------
@@ -169,22 +175,26 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
   const index_t n_samples = R * (T - P);
   report.innovation_samples = n_samples;
   linalg::Matrix xi(n_samples, n_coeff);
-  common::parallel_for(0, n_coeff, [&](index_t c) {
-    index_t row = 0;
-    for (index_t r = 0; r < R; ++r) {
-      for (index_t t = P; t < T; ++t) {
-        double pred = 0.0;
-        const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
-        for (index_t a = 0; a < P; ++a) {
-          pred += phi[static_cast<std::size_t>(a)] * f(r * T + t - 1 - a, c);
+  common::parallel_for(
+      0, n_coeff,
+      [&](index_t c) {
+        index_t row = 0;
+        for (index_t r = 0; r < R; ++r) {
+          for (index_t t = P; t < T; ++t) {
+            double pred = 0.0;
+            const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
+            for (index_t a = 0; a < P; ++a) {
+              pred +=
+                  phi[static_cast<std::size_t>(a)] * f(r * T + t - 1 - a, c);
+            }
+            xi(row, c) = f(r * T + t, c) - pred;
+            ++row;
+          }
         }
-        xi(row, c) = f(r * T + t, c) - pred;
-        ++row;
-      }
-    }
-  });
+      },
+      threads);
   stats::PreparedCovariance prepared =
-      stats::prepare_covariance(xi, config_.jitter_base);
+      stats::prepare_covariance(xi, config_.jitter_base, threads);
   report.covariance_jitter = prepared.jitter;
   report.covariance_deficient = prepared.was_deficient;
   report.covariance_seconds = stage.seconds();

@@ -83,9 +83,10 @@ MultiVarTrainReport MultiVariateEmulator::train(
   trend_.assign(static_cast<std::size_t>(num_vars), {});
   nugget_var_.assign(static_cast<std::size_t>(num_vars), {});
   linalg::Matrix f(R * T, joint_dim);
-  const stats::TrendFitConfig trend_cfg = config_.trend_config();
   const unsigned threads =
       config_.threads == 0 ? common::default_thread_count() : config_.threads;
+  const stats::TrendFitter trend_fitter(T, annual_forcing,
+                                        config_.trend_config());
 
   for (index_t v = 0; v < num_vars; ++v) {
     const climate::ClimateDataset& data = *sources[static_cast<std::size_t>(v)];
@@ -101,17 +102,20 @@ MultiVarTrainReport MultiVariateEmulator::train(
                   data.field(r, t)[static_cast<std::size_t>(p)];
             }
           }
-          var_trend[static_cast<std::size_t>(p)] =
-              stats::fit_trend(y, R, T, annual_forcing, trend_cfg);
+          var_trend[static_cast<std::size_t>(p)] = trend_fitter.fit(y, R);
         },
         threads);
 
     std::vector<std::vector<double>> trend_series_per_point(
         static_cast<std::size_t>(num_points));
-    common::parallel_for(0, num_points, [&](index_t p) {
-      trend_series_per_point[static_cast<std::size_t>(p)] = stats::trend_series(
-          var_trend[static_cast<std::size_t>(p)], T, annual_forcing);
-    });
+    common::parallel_for(
+        0, num_points,
+        [&](index_t p) {
+          trend_series_per_point[static_cast<std::size_t>(p)] =
+              stats::trend_series(var_trend[static_cast<std::size_t>(p)], T,
+                                  annual_forcing);
+        },
+        threads);
 
     auto& nug = nugget_var_[static_cast<std::size_t>(v)];
     // Deterministic reduction (see emulator.cpp): fixed chunking and ordered
@@ -171,22 +175,26 @@ MultiVarTrainReport MultiVariateEmulator::train(
   // Joint innovation covariance across all variables' coefficients.
   const index_t n_samples = R * (T - P);
   linalg::Matrix xi(n_samples, joint_dim);
-  common::parallel_for(0, joint_dim, [&](index_t c) {
-    index_t row = 0;
-    const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
-    for (index_t r = 0; r < R; ++r) {
-      for (index_t t = P; t < T; ++t) {
-        double pred = 0.0;
-        for (index_t a = 0; a < P; ++a) {
-          pred += phi[static_cast<std::size_t>(a)] * f(r * T + t - 1 - a, c);
+  common::parallel_for(
+      0, joint_dim,
+      [&](index_t c) {
+        index_t row = 0;
+        const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
+        for (index_t r = 0; r < R; ++r) {
+          for (index_t t = P; t < T; ++t) {
+            double pred = 0.0;
+            for (index_t a = 0; a < P; ++a) {
+              pred +=
+                  phi[static_cast<std::size_t>(a)] * f(r * T + t - 1 - a, c);
+            }
+            xi(row, c) = f(r * T + t, c) - pred;
+            ++row;
+          }
         }
-        xi(row, c) = f(r * T + t, c) - pred;
-        ++row;
-      }
-    }
-  });
+      },
+      threads);
   stats::PreparedCovariance prepared =
-      stats::prepare_covariance(xi, config_.jitter_base);
+      stats::prepare_covariance(xi, config_.jitter_base, threads);
   report.covariance_jitter = prepared.jitter;
   report.covariance_deficient = prepared.was_deficient;
   report.innovation_samples = n_samples;

@@ -620,6 +620,11 @@ void trim_thread_scratch_on_pressure() {
   Blocked<double>::scratch().arena.maybe_trim_on_pressure();
 }
 
+void release_thread_scratch() {
+  Blocked<float>::scratch().arena.trim();
+  Blocked<double>::scratch().arena.trim();
+}
+
 // --- Blocked entry points ----------------------------------------------------
 
 void potrf_lower_f64(double* a, index_t n) { Blocked<double>::potrf(a, n, n); }

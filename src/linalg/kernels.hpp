@@ -62,6 +62,13 @@ std::string tile_context_suffix();
 /// scheduler calls it between tasks). Near-free when there is no pressure.
 void trim_thread_scratch_on_pressure();
 
+/// Frees the calling thread's blocked-kernel scratch arenas unconditionally.
+/// For one-off large factorizations off the tile hot path (the FP64
+/// positive-definiteness check), whose pack buffers would otherwise stay
+/// resident for the life of the thread. Same contract as above: only when no
+/// kernel is running on this thread.
+void release_thread_scratch();
+
 // --- Kernel tuning -----------------------------------------------------------
 //
 // The cache-blocking parameters of the packed engine (KC slivers in L1, an

@@ -1,6 +1,7 @@
 #include "linalg/solve.hpp"
 
 #include "common/error.hpp"
+#include "linalg/kernels.hpp"
 
 namespace exaclim::linalg {
 
@@ -27,13 +28,18 @@ void add_diagonal_jitter(Matrix& a, double eps) {
 }
 
 bool is_positive_definite(const Matrix& a) {
+  EXACLIM_CHECK(a.rows() == a.cols(), "matrix must be square");
   Matrix copy = a;
+  bool pd = true;
   try {
-    cholesky_dense(copy);
-    return true;
+    potrf_lower_f64(copy.data(), copy.rows());
   } catch (const NumericalError&) {
-    return false;
+    pd = false;
   }
+  // A d x d factorization grows this thread's pack buffers far beyond what
+  // tile-sized kernels need; do not keep them resident after a one-off check.
+  release_thread_scratch();
+  return pd;
 }
 
 double ensure_positive_definite(Matrix& a, double base, int max_tries) {

@@ -17,8 +17,9 @@ std::vector<double> sample_mvn(const Matrix& chol_factor, common::Rng& rng);
 /// deficient).
 void add_diagonal_jitter(Matrix& a, double eps);
 
-/// True if `a` (symmetric) is positive definite (attempts a dense Cholesky
-/// on a copy).
+/// True if `a` (symmetric) is positive definite: attempts the blocked
+/// POTRF (`potrf_lower_f64`) on a copy. The single FP64 positive-
+/// definiteness authority; a NaN or non-positive pivot means "no".
 bool is_positive_definite(const Matrix& a);
 
 /// Smallest jitter from {0, base, 10*base, ...} that makes a + jitter*I

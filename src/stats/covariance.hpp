@@ -12,8 +12,13 @@ namespace exaclim::stats {
 /// (Eq. 9 with N = R (T - P)). Samples are rows of `samples` (N x d).
 linalg::Matrix empirical_covariance(const linalg::Matrix& samples);
 
-/// Same, parallelized over the output's lower triangle (the O(L^4 T) step of
-/// the paper's training pipeline).
+/// Same, as a tiled SYRK on the packed BLAS3 engine (the O(L^4 T) step of
+/// the paper's training pipeline): one task per 128 x 128 lower-triangle
+/// output tile, each walking the samples in fixed 256-row chunks that it
+/// transposes into per-tile scratch before a SYRK (diagonal tiles) or GEMM
+/// (off-diagonal tiles) update. No transposed copy of `samples` is made, the
+/// result is exactly symmetric, and its bits do not depend on `threads`
+/// (0 = the worker team's width).
 linalg::Matrix empirical_covariance_parallel(const linalg::Matrix& samples,
                                              unsigned threads = 0);
 
@@ -35,7 +40,10 @@ struct PreparedCovariance {
 /// entry or a non-positive diagonal in the raw empirical covariance throws
 /// NumericalError naming the offending (row, col) — malformed input fails
 /// here, structurally, instead of deep inside the factorization DAG.
+/// `threads` bounds every parallel step (0 = the worker team's width); the
+/// result is the same at any value.
 PreparedCovariance prepare_covariance(const linalg::Matrix& samples,
-                                      double jitter_base = 1e-10);
+                                      double jitter_base = 1e-10,
+                                      unsigned threads = 0);
 
 }  // namespace exaclim::stats

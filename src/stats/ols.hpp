@@ -22,4 +22,15 @@ struct OlsFit {
 /// degradation beats hard failure).
 OlsFit ols(const linalg::Matrix& x, std::span<const double> y);
 
+/// The design-only half of ols(): the lower Cholesky factor of the ridge-
+/// regularized normal matrix X^T X + 1e-12 tr(X^T X) I. A caller that fits
+/// many series against one design factors it once.
+linalg::Matrix ols_gram_factor(const linalg::Matrix& x);
+
+/// The series half of ols(): beta solving (X^T X) beta = X^T y with the
+/// design's ols_gram_factor. Bit-identical to ols(x, y).beta.
+std::vector<double> ols_coefficients(const linalg::Matrix& x,
+                                     const linalg::Matrix& gram_factor,
+                                     std::span<const double> y);
+
 }  // namespace exaclim::stats

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "linalg/matrix.hpp"
 
 namespace exaclim::stats {
 
@@ -47,8 +48,34 @@ std::vector<double> lagged_forcing(std::span<const double> annual_forcing,
                                    index_t num_steps, index_t period,
                                    double rho);
 
-/// Fits the trend to R stacked ensemble series (layout: r-major, each of
-/// length T; mean parameters are shared across ensembles per the paper).
+/// The per-location trend fit with everything that depends only on the time
+/// axis hoisted out of the location loop: for every rho on the profile grid,
+/// the T x (3 + 2K) design matrix and the Cholesky factor of its ridge-
+/// regularized Gram matrix. Built once per training run; fit() then costs
+/// X^T ybar, two triangular solves and the ensemble SSE per rho. fit() is
+/// const, so one fitter serves every worker thread.
+class TrendFitter {
+ public:
+  TrendFitter(index_t num_steps, std::span<const double> annual_forcing,
+              const TrendFitConfig& config);
+
+  /// Fits the trend to R stacked ensemble series (layout: r-major, each of
+  /// length T; mean parameters are shared across ensembles per the paper).
+  TrendModel fit(std::span<const double> y, index_t num_ensembles) const;
+
+ private:
+  struct Candidate {
+    double rho = 0.0;
+    linalg::Matrix design;
+    linalg::Matrix gram_factor;
+  };
+  index_t num_steps_;
+  index_t harmonics_;
+  index_t period_;
+  std::vector<Candidate> candidates_;
+};
+
+/// One-shot form of TrendFitter(num_steps, annual_forcing, config).fit(y, R).
 TrendModel fit_trend(std::span<const double> y, index_t num_ensembles,
                      index_t num_steps,
                      std::span<const double> annual_forcing,

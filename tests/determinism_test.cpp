@@ -6,14 +6,18 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "climate/synthetic_esm.hpp"
 #include "common/io.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "core/emulator.hpp"
 #include "core/serialize.hpp"
+#include "stats/covariance.hpp"
+#include "stats/trend.hpp"
 
 namespace {
 
@@ -75,6 +79,81 @@ TEST(ParallelReduce, OrderedCombineSeesChunksInIndexOrder) {
       },
       8);
   EXPECT_EQ(first, 0);
+}
+
+// ---------- training stages ---------------------------------------------------
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(StageDeterminism, CovarianceBytesIdenticalAcrossThreadCounts) {
+  // Ragged in both tile (d = 3 * 128 - 35) and chunk (N = 2 * 256 + 89)
+  // directions, so edge tiles and the short final chunk are both exercised.
+  common::Rng rng(31);
+  linalg::Matrix xi(601, 349);
+  for (index_t i = 0; i < xi.rows(); ++i) {
+    for (index_t j = 0; j < xi.cols(); ++j) xi(i, j) = rng.normal();
+  }
+  auto bytes = [&](unsigned threads) {
+    const linalg::Matrix u = stats::empirical_covariance_parallel(xi, threads);
+    return std::vector<double>(u.data(), u.data() + u.rows() * u.cols());
+  };
+  const std::vector<double> u1 = bytes(1);
+  for (unsigned t : {2u, 4u, 7u}) {
+    EXPECT_TRUE(same_bytes(u1, bytes(t))) << "threads=" << t;
+  }
+  // prepare_covariance (scans and PD check included) is thread-invariant too.
+  const stats::PreparedCovariance p1 = stats::prepare_covariance(xi, 1e-10, 1);
+  for (unsigned t : {2u, 4u, 7u}) {
+    const stats::PreparedCovariance pt =
+        stats::prepare_covariance(xi, 1e-10, t);
+    EXPECT_TRUE(same_bytes(
+        std::vector<double>(p1.u.data(), p1.u.data() + u1.size()),
+        std::vector<double>(pt.u.data(), pt.u.data() + u1.size())))
+        << "threads=" << t;
+    EXPECT_EQ(p1.jitter, pt.jitter);
+  }
+}
+
+TEST(StageDeterminism, TrendFitterBytesIdenticalAcrossThreadCounts) {
+  const index_t points = 97;
+  const index_t R = 2;
+  const index_t T = 72;
+  common::Rng rng(32);
+  std::vector<double> forcing(7);
+  for (auto& v : forcing) v = rng.normal(1.0, 0.2);
+  std::vector<double> y(static_cast<std::size_t>(points * R * T));
+  for (auto& v : y) v = rng.normal(3.0, 1.0);
+  stats::TrendFitConfig cfg;
+  cfg.harmonics = 2;
+  cfg.period = 12;
+  const stats::TrendFitter fitter(T, forcing, cfg);
+  auto bytes = [&](unsigned threads) {
+    std::vector<stats::TrendModel> models(static_cast<std::size_t>(points));
+    common::parallel_for(
+        0, points,
+        [&](index_t p) {
+          const std::size_t off = static_cast<std::size_t>(p * R * T);
+          models[static_cast<std::size_t>(p)] = fitter.fit(
+              std::span<const double>(y).subspan(off,
+                                                 static_cast<std::size_t>(R * T)),
+              R);
+        },
+        threads);
+    std::vector<double> out;
+    for (const auto& m : models) {
+      out.insert(out.end(), {m.beta0, m.beta1, m.beta2, m.rho, m.sigma});
+      out.insert(out.end(), m.cos_coeff.begin(), m.cos_coeff.end());
+      out.insert(out.end(), m.sin_coeff.begin(), m.sin_coeff.end());
+    }
+    return out;
+  };
+  const std::vector<double> m1 = bytes(1);
+  for (unsigned t : {2u, 4u, 7u}) {
+    EXPECT_TRUE(same_bytes(m1, bytes(t))) << "threads=" << t;
+  }
 }
 
 // ---------- end-to-end training -----------------------------------------------

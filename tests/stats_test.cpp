@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -186,6 +190,56 @@ TEST(Trend, RejectsBadRho) {
                InvalidArgument);
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_bit_equal(const TrendModel& a, const TrendModel& b) {
+  EXPECT_TRUE(same_bits(a.beta0, b.beta0));
+  EXPECT_TRUE(same_bits(a.beta1, b.beta1));
+  EXPECT_TRUE(same_bits(a.beta2, b.beta2));
+  EXPECT_TRUE(same_bits(a.rho, b.rho));
+  EXPECT_TRUE(same_bits(a.sigma, b.sigma));
+  EXPECT_EQ(a.period, b.period);
+  ASSERT_EQ(a.cos_coeff.size(), b.cos_coeff.size());
+  ASSERT_EQ(a.sin_coeff.size(), b.sin_coeff.size());
+  for (std::size_t k = 0; k < a.cos_coeff.size(); ++k) {
+    EXPECT_TRUE(same_bits(a.cos_coeff[k], b.cos_coeff[k]));
+    EXPECT_TRUE(same_bits(a.sin_coeff[k], b.sin_coeff[k]));
+  }
+}
+
+TEST(Trend, FitterReusedAcrossSeriesMatchesOneShotFit) {
+  // One fitter serves every location of a training run; each fit must be
+  // bit-equal to the one-shot fit_trend on the same series.
+  common::Rng rng(21);
+  for (const index_t period : {12, 365}) {
+    const index_t num_steps = 3 * period + 5;
+    const index_t R = 3;
+    std::vector<double> forcing(5);
+    for (auto& v : forcing) v = rng.normal(1.0, 0.3);
+    TrendFitConfig cfg;
+    cfg.harmonics = 3;
+    cfg.period = period;
+    const TrendFitter fitter(num_steps, forcing, cfg);
+    for (int series = 0; series < 6; ++series) {
+      std::vector<double> y(static_cast<std::size_t>(R * num_steps));
+      for (auto& v : y) v = rng.normal(2.0, 1.5);
+      expect_bit_equal(fitter.fit(y, R),
+                       fit_trend(y, R, num_steps, forcing, cfg));
+    }
+  }
+}
+
+TEST(Trend, FitterRejectsWrongSeriesLength) {
+  TrendFitConfig cfg;
+  cfg.period = 12;
+  const std::vector<double> forcing(4, 1.0);
+  const TrendFitter fitter(36, forcing, cfg);
+  EXPECT_THROW(fitter.fit(std::vector<double>(35, 0.0), 1), InvalidArgument);
+  EXPECT_THROW(fitter.fit(std::vector<double>(36, 0.0), 0), InvalidArgument);
+}
+
 // ---------- AR(P) ---------------------------------------------------------------
 
 TEST(Ar, RecoversAr1Coefficient) {
@@ -326,6 +380,113 @@ TEST(Covariance, FullRankSampleNeedsNoJitter) {
   const PreparedCovariance prep = prepare_covariance(samples);
   EXPECT_FALSE(prep.was_deficient);
   EXPECT_EQ(prep.jitter, 0.0);
+}
+
+// Scalar triple-loop oracle for U-hat = (1/N) X^T X.
+linalg::Matrix covariance_oracle(const linalg::Matrix& x) {
+  const index_t n = x.rows();
+  const index_t d = x.cols();
+  linalg::Matrix u(d, d);
+  for (index_t a = 0; a < d; ++a) {
+    for (index_t b = 0; b <= a; ++b) {
+      double acc = 0.0;
+      for (index_t r = 0; r < n; ++r) acc += x(r, a) * x(r, b);
+      u(a, b) = acc / static_cast<double>(n);
+      u(b, a) = u(a, b);
+    }
+  }
+  return u;
+}
+
+TEST(Covariance, TiledMatchesOracleAtRaggedShapes) {
+  // Tile edges (d around 128) and chunk edges (N around 256), including
+  // N < d, the paper's rank-deficient regime.
+  common::Rng rng(13);
+  for (const index_t d : {1, 7, 127, 128, 129, 300}) {
+    for (const index_t n : {1, 3, 255, 257, 1000}) {
+      linalg::Matrix x(n, d);
+      for (index_t i = 0; i < n; ++i) {
+        for (index_t j = 0; j < d; ++j) x(i, j) = rng.normal(0.5, 2.0);
+      }
+      const linalg::Matrix u = empirical_covariance_parallel(x, 4);
+      const linalg::Matrix ref = covariance_oracle(x);
+      ASSERT_EQ(u.rows(), d);
+      ASSERT_EQ(u.cols(), d);
+      for (index_t a = 0; a < d; ++a) {
+        for (index_t b = 0; b < d; ++b) {
+          // Relative to sqrt(U_aa U_bb), which bounds |U_ab|.
+          const double scale = std::sqrt(ref(a, a) * ref(b, b));
+          ASSERT_LE(std::abs(u(a, b) - ref(a, b)), 1e-13 * scale)
+              << "d=" << d << " n=" << n << " at (" << a << ", " << b << ")";
+          ASSERT_TRUE(same_bits(u(a, b), u(b, a)))
+              << "d=" << d << " n=" << n << " at (" << a << ", " << b << ")";
+        }
+      }
+    }
+  }
+}
+
+bool dense_cholesky_verdict(linalg::Matrix a) {
+  try {
+    linalg::cholesky_dense(a);
+    return true;
+  } catch (const NumericalError&) {
+    return false;
+  }
+}
+
+linalg::Matrix random_gram(index_t d, index_t n, common::Rng& rng) {
+  linalg::Matrix x(n, d);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < d; ++j) x(i, j) = rng.normal();
+  }
+  return covariance_oracle(x);
+}
+
+TEST(Covariance, BlockedPdCheckAgreesWithDenseCholesky) {
+  // is_positive_definite runs the blocked POTRF; its verdict must match the
+  // scalar dense Cholesky on every class of input it guards.
+  common::Rng rng(14);
+  std::vector<std::pair<const char*, linalg::Matrix>> fixtures;
+  for (const index_t d : {1, 5, 64, 65, 200}) {
+    fixtures.emplace_back("spd", random_gram(d, 3 * d + 10, rng));
+  }
+  {
+    linalg::Matrix a = random_gram(150, 500, rng);
+    a(149, 149) = -1.0;  // a negative variance
+    fixtures.emplace_back("indefinite diagonal", a);
+  }
+  {
+    linalg::Matrix a(180, 180);  // random symmetric: indefinite
+    for (index_t i = 0; i < 180; ++i) {
+      for (index_t j = 0; j <= i; ++j) a(i, j) = a(j, i) = rng.normal();
+    }
+    fixtures.emplace_back("indefinite symmetric", a);
+  }
+  for (const index_t at : {0, 70, 129}) {
+    linalg::Matrix a = random_gram(130, 400, rng);
+    a(at, at) = std::numeric_limits<double>::quiet_NaN();
+    fixtures.emplace_back("nan diagonal", a);
+  }
+  {
+    linalg::Matrix a = random_gram(120, 400, rng);  // a zero-variance field
+    for (index_t i = 0; i < 120; ++i) a(90, i) = a(i, 90) = 0.0;
+    fixtures.emplace_back("rank deficient: zero row", a);
+  }
+  {
+    linalg::Matrix a(3, 3);  // coordinates 0 and 2 are copies; exact pivots
+    a(0, 0) = a(2, 2) = a(0, 2) = a(2, 0) = 4.0;
+    a(1, 1) = 1.0;
+    fixtures.emplace_back("rank deficient: duplicate", a);
+  }
+  fixtures.emplace_back("rank deficient: N < d", random_gram(100, 20, rng));
+  for (const auto& [name, a] : fixtures) {
+    EXPECT_EQ(linalg::is_positive_definite(a), dense_cholesky_verdict(a))
+        << name << " d=" << a.rows();
+  }
+  // The fixtures cover both verdicts.
+  EXPECT_TRUE(linalg::is_positive_definite(fixtures.front().second));
+  EXPECT_FALSE(linalg::is_positive_definite(fixtures.back().second));
 }
 
 // ---------- diagnostics -------------------------------------------------------------
