@@ -36,6 +36,9 @@ run() { echo "+ $*" >&2; "$@"; }
 #     has been argued through and the file added here;
 #   * no direct fopen outside common/io.cpp — all file I/O funnels through
 #     the checksummed, quarantine-aware io layer.
+#   * no sample_mvn in src/core or src/serve — emulation and serving draw
+#     through the one sampling engine (runtime::run_sampling); the scalar
+#     linalg::sample_mvn stays only as the oracle tests and probes call.
 lint() {
   local fail=0
 
@@ -81,6 +84,13 @@ lint() {
           || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: direct fopen outside common/io.cpp:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnw 'sample_mvn' src/core src/serve || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: sample_mvn in core/serve (use runtime::run_sampling):" >&2
     echo "$hits" >&2
     fail=1
   fi

@@ -4,9 +4,8 @@
 // anyone on the fast path; any number of thief threads steal from the top
 // with a single CAS. The implementation follows Lê, Pop, Cohen & Nardelli,
 // "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP'13) —
-// the fence placement below is exactly their proven C11 version, which is
-// what keeps it clean under ThreadSanitizer (ctest -L runtime with the
-// `tsan` preset stress-tests concurrent push/pop/steal).
+// the fence placement below is exactly their proven C11 version (ctest -L
+// runtime with the `tsan` preset stress-tests concurrent push/pop/steal).
 //
 // The ring buffer grows on owner pushes; retired rings are kept alive until
 // the deque is destroyed, so a thief that loaded a stale ring pointer still
@@ -47,7 +46,12 @@ class WorkStealDeque {
     }
     ring->put(b, value);
     std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Release on the store too (stronger than the paper's relaxed store, so
+    // still correct): ThreadSanitizer does not model standalone fences, and
+    // without it a thief's acquire load of bottom_ never synchronizes with
+    // this push in TSan's eyes, which then reports the stolen task's inputs
+    // as racing with the thread that produced them.
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only. LIFO: returns the most recently pushed element.

@@ -7,8 +7,9 @@
 #include "climate/validate.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "linalg/solve.hpp"
+#include "core/var_forward.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 #include "sht/packing.hpp"
 #include "stats/covariance.hpp"
@@ -249,83 +250,52 @@ climate::ClimateDataset ClimateEmulator::emulate(
                     (num_steps + tau - 1) / tau,
                 "forcing trajectory shorter than requested emulation");
   const index_t L = config_.band_limit;
-  const index_t n_coeff = sh_coeff_count(L);
   const index_t num_points = grid_.num_points();
-  const index_t P = config_.ar_order;
-  const index_t burn = config_.emulation_burn_in + P;
 
   climate::ClimateDataset out(grid_, num_steps, num_ensembles, tau);
+
+  const unsigned threads =
+      config_.threads == 0 ? common::default_thread_count() : config_.threads;
 
   // Trend series are shared across ensembles; compute once in parallel.
   std::vector<std::vector<double>> trend_series_per_point(
       static_cast<std::size_t>(num_points));
-  common::parallel_for(0, num_points, [&](index_t p) {
-    trend_series_per_point[static_cast<std::size_t>(p)] =
-        stats::trend_series(trend_[static_cast<std::size_t>(p)], num_steps,
-                            annual_forcing);
-  });
+  common::parallel_for(
+      0, num_points,
+      [&](index_t p) {
+        trend_series_per_point[static_cast<std::size_t>(p)] =
+            stats::trend_series(trend_[static_cast<std::size_t>(p)],
+                                num_steps, annual_forcing);
+      },
+      threads);
 
-  common::Rng master(seed);
+  const index_t n_coeff = sh_coeff_count(L);
   for (index_t r = 0; r < num_ensembles; ++r) {
-    common::Rng rng = master.split(static_cast<std::uint64_t>(r) + 0x5151);
-
-    // VAR forward pass with burn-in (sequential in t, vectorized over c).
-    linalg::Matrix coeff_series(num_steps, n_coeff);
-    std::vector<std::vector<double>> history(
-        static_cast<std::size_t>(P),
-        std::vector<double>(static_cast<std::size_t>(n_coeff), 0.0));
-    std::vector<double> current(static_cast<std::size_t>(n_coeff));
-    for (index_t t = -burn; t < num_steps; ++t) {
-      const std::vector<double> innovation = linalg::sample_mvn(factor_, rng);
-      for (index_t c = 0; c < n_coeff; ++c) {
-        double v = innovation[static_cast<std::size_t>(c)];
-        const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
-        for (index_t a = 0; a < P; ++a) {
-          v += phi[static_cast<std::size_t>(a)]
-               * history[static_cast<std::size_t>(a)][static_cast<std::size_t>(c)];
-        }
-        current[static_cast<std::size_t>(c)] = v;
-      }
-      // Shift history (oldest last).
-      for (index_t a = P - 1; a >= 1; --a) {
-        history[static_cast<std::size_t>(a)] =
-            history[static_cast<std::size_t>(a - 1)];
-      }
-      if (P >= 1) history[0] = current;
-      if (t >= 0) {
-        std::copy(current.begin(), current.end(),
-                  coeff_series.data() + static_cast<std::size_t>(t) *
-                                            static_cast<std::size_t>(n_coeff));
-      }
-    }
-
-    // Per-step nugget seeds so synthesis can run in parallel.
-    std::vector<std::uint64_t> nugget_seeds(static_cast<std::size_t>(num_steps));
-    for (auto& s : nugget_seeds) s = rng.next_u64();
-
-    common::parallel_for(
-        0, num_steps,
-        [&](index_t t) {
-          std::vector<double> packed(
-              coeff_series.row(t).begin(),
-              coeff_series.row(t).end());
-          const std::vector<cplx> coeffs = sht::unpack_real(L, packed);
-          std::vector<double> field = plan_->synthesize(coeffs);
-          common::Rng nug(nugget_seeds[static_cast<std::size_t>(t)]);
-          auto dst = out.field(r, t);
-          for (index_t p = 0; p < num_points; ++p) {
-            double z = field[static_cast<std::size_t>(p)];
-            z += std::sqrt(nugget_var_[static_cast<std::size_t>(p)]) *
-                 nug.normal();
-            const auto& tm = trend_[static_cast<std::size_t>(p)];
-            dst[static_cast<std::size_t>(p)] =
-                trend_series_per_point[static_cast<std::size_t>(p)]
-                                      [static_cast<std::size_t>(t)] +
-                tm.sigma * z;
-          }
-        },
-        config_.threads == 0 ? common::default_thread_count()
-                             : config_.threads);
+    run_member_var(factor_, ar_, config_, num_steps, seed, r,
+                   [&](const StepPanel& panel) {
+      common::parallel_for(
+          0, panel.num_steps,
+          [&](index_t i) {
+            const double* row = panel.coefficients + i * n_coeff;
+            const std::vector<double> packed(row, row + n_coeff);
+            const std::vector<cplx> coeffs = sht::unpack_real(L, packed);
+            const std::vector<double> field = plan_->synthesize(coeffs);
+            common::Rng nug(panel.nugget_seeds[i]);
+            const index_t t = panel.first_step + i;
+            auto dst = out.field(r, t);
+            for (index_t p = 0; p < num_points; ++p) {
+              double z = field[static_cast<std::size_t>(p)];
+              z += std::sqrt(nugget_var_[static_cast<std::size_t>(p)]) *
+                   nug.normal();
+              const auto& tm = trend_[static_cast<std::size_t>(p)];
+              dst[static_cast<std::size_t>(p)] =
+                  trend_series_per_point[static_cast<std::size_t>(p)]
+                                        [static_cast<std::size_t>(t)] +
+                  tm.sigma * z;
+            }
+          },
+          threads);
+    });
   }
   return out;
 }

@@ -11,7 +11,8 @@
 //   4. Innovation covariance U-hat (Eq. 9) with diagonal perturbation when
 //      rank deficient, then mixed-precision tiled Cholesky U = V V^T.
 // Emulation (Section III-B): xi ~ N(0, U) via V, VAR forward pass, inverse
-// SHT, add epsilon, scale by sigma, add m_t.
+// SHT, add epsilon, scale by sigma, add m_t. The innovations are drawn in
+// panels of up to 64 steps on the sampling engine serving uses.
 //
 // All per-point / per-slot / per-coefficient stages run through
 // common::parallel_for; the Cholesky runs on the task runtime.
@@ -73,7 +74,17 @@ class ClimateEmulator {
 
   /// Generates `num_ensembles` emulated members of `num_steps` steps under
   /// `annual_forcing` (may differ from training forcing: scenario mode).
-  /// Deterministic in `seed`.
+  /// Throws InvalidArgument unless num_steps >= 1 and num_ensembles >= 1.
+  ///
+  /// Reproducibility contract: the output is a pure function of the trained
+  /// model, `annual_forcing` and `seed`. Member r's step s (counted from
+  /// the start of the burn-in) draws its innovation normals, then its
+  /// nugget seed, from its own stream Rng(seed).split(r).split(s), and the
+  /// innovations run through the same fixed-order multi-RHS sampling engine
+  /// as serving (core/var_forward.hpp). So the bytes are identical at any
+  /// `threads`, member r does not depend on how many members are asked
+  /// for, and a T-step run is exactly the first T steps of any longer run
+  /// with the same seed.
   climate::ClimateDataset emulate(index_t num_steps, index_t num_ensembles,
                                   std::span<const double> annual_forcing,
                                   std::uint64_t seed) const;

@@ -54,6 +54,8 @@ class MultiVariateEmulator {
   index_t num_variables() const { return num_variables_; }
 
   /// Emulates all variables jointly; result[v] is variable v's ensemble.
+  /// Same argument checks and reproducibility contract as
+  /// ClimateEmulator::emulate, over the joint innovation vector.
   std::vector<climate::ClimateDataset> emulate(
       index_t num_steps, index_t num_ensembles,
       std::span<const double> annual_forcing, std::uint64_t seed) const;

@@ -9,7 +9,7 @@
 #include <type_traits>
 #include <vector>
 
-#if defined(__F16C__)
+#if defined(__F16C__) || defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
@@ -971,28 +971,18 @@ void convert_f16_scaled_to_f32(const common::half* src, float scale,
   for (index_t i = 0; i < count; ++i) dst[i] *= scale;
 }
 
-// --- Serving: batched multi-RHS apply over a packed-triangle factor ---------
+// --- Sampling: batched multi-RHS apply over a lower-triangular factor -------
 
 namespace {
 
-/// Accumulates x[0..K) += lv * z[0..K) honoring the cancelled-column mask.
-/// The skip == 0 fast path is the hot serving loop; with cancellations the
-/// surviving columns see exactly the same operations in the same order, so
-/// a co-batched request timing out never perturbs anyone else's bits.
-inline void axpy_row(double lv, const double* z, double* x, index_t k_cols,
-                     std::uint64_t skip) {
-  if (skip == 0) {
-    for (index_t k = 0; k < k_cols; ++k) x[k] += lv * z[k];
-    return;
+/// Byte offset of factor row r (its first stored element or, for
+/// F16Scaled, its scale prefix).
+inline std::size_t factor_row_offset(PackedStorage storage, bool dense_rows,
+                                     index_t n, index_t r) {
+  if (dense_rows) {
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(n) *
+           sizeof(double);
   }
-  for (index_t k = 0; k < k_cols; ++k) {
-    if (((skip >> k) & 1u) == 0) x[k] += lv * z[k];
-  }
-}
-
-/// Byte offset of packed row r (its first stored element or, for F16Scaled,
-/// its scale prefix).
-inline std::size_t packed_row_offset(PackedStorage storage, index_t r) {
   const auto tri = static_cast<std::size_t>(r) * static_cast<std::size_t>(r + 1) / 2;
   switch (storage) {
     case PackedStorage::F64: return tri * sizeof(double);
@@ -1004,10 +994,227 @@ inline std::size_t packed_row_offset(PackedStorage storage, index_t r) {
   return 0;
 }
 
+constexpr index_t kChunk = 256;  // factor columns widened/streamed per pass
+
+// Row loads: each returns p with p[j] = L(r, cs + j) as a double for
+// j in [0, ce - cs). f64 rows are read in place; f32 and f16-scaled rows are
+// widened into `buf` with exactly the per-element conversion the scalar
+// definition uses ((double)f32, (double)(float)h * scale), so the storage
+// only changes what is loaded, never how it is accumulated.
+struct LoadF64 {
+  static const double* row(const PackedFactorView& l, index_t r, index_t cs,
+                           index_t /*ce*/, double* /*buf*/) {
+    return reinterpret_cast<const double*>(
+               l.bytes + factor_row_offset(l.storage, l.dense_rows, l.n, r)) +
+           cs;
+  }
+};
+
+struct LoadF32 {
+  static const double* row(const PackedFactorView& l, index_t r, index_t cs,
+                           index_t ce, double* buf) {
+    const float* lr = reinterpret_cast<const float*>(
+        l.bytes + factor_row_offset(l.storage, false, l.n, r));
+    for (index_t c = cs; c < ce; ++c) buf[c - cs] = static_cast<double>(lr[c]);
+    return buf;
+  }
+};
+
+struct LoadF16Scaled {
+  static const double* row(const PackedFactorView& l, index_t r, index_t cs,
+                           index_t ce, double* buf) {
+    const unsigned char* row =
+        l.bytes + factor_row_offset(l.storage, false, l.n, r);
+    float scale = 0.0f;
+    std::memcpy(&scale, row, sizeof(scale));
+    const double s = static_cast<double>(scale);
+    alignas(64) float wide[kChunk];
+    widen_f16_block(
+        reinterpret_cast<const common::half*>(row + sizeof(float)) + cs, wide,
+        ce - cs);
+    for (index_t j = 0; j < ce - cs; ++j) {
+      buf[j] = static_cast<double>(wide[j]) * s;
+    }
+    return buf;
+  }
+};
+
+// One register block is kRows rows x (8 * V) columns of X. The GNU vector
+// type is explicit for the same reason as the TRSM sliver solve: the
+// auto-vectorizer does not keep a 2D accumulator block in registers.
+// Every term is one explicit fused multiply-add, x = fma(L(r,c), Z[c,k], x),
+// in the vector block, the scalar column tail and on every target alike —
+// left to the compiler, `x += l * z` is contracted in some loops and not in
+// others, and a column's bits would then depend on which path its batch
+// width sends it down.
+typedef double v8d __attribute__((vector_size(64)));
+constexpr index_t kRows = 4;
+
+inline v8d fmadd(double a, v8d b, v8d c) {
+#if defined(__AVX512F__)
+  return reinterpret_cast<v8d>(_mm512_fmadd_pd(
+      _mm512_set1_pd(a), reinterpret_cast<__m512d>(b),
+      reinterpret_cast<__m512d>(c)));
+#else
+  v8d r;
+  for (int e = 0; e < 8; ++e) r[e] = std::fma(a, b[e], c[e]);
+  return r;
+#endif
+}
+
+inline v8d load8(const double* p) {
+  v8d v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void store8(double* p, v8d v) { std::memcpy(p, &v, sizeof(v)); }
+
+/// R rows x 8V columns starting at column kb. lr[i][j] = L(row i, cs + j)
+/// for j < len[i]; len is nondecreasing in i (a lower triangle), so the
+/// first len[0] factor columns are shared by every row and the rest are a
+/// short per-row tail. zc = &Z[cs, 0] and xr = &X[row 0, 0], both with row
+/// stride k_cols. Each X element accumulates its c terms in ascending
+/// order; columns set in `skip` are computed but never stored.
+template <int R, int V>
+inline void apply_block(const double* const* lr, const index_t* len,
+                        const double* zc, double* xr, index_t k_cols,
+                        index_t kb, std::uint64_t skip) {
+  v8d acc[R][V];
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[i][v] = load8(xr + i * k_cols + kb + 8 * v);
+  }
+  const double* zp = zc + kb;
+  for (index_t j = 0; j < len[0]; ++j, zp += k_cols) {
+    v8d zv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) zv[v] = load8(zp + 8 * v);
+#pragma GCC unroll 4
+    for (int i = 0; i < R; ++i) {
+      const double lv = lr[i][j];
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) acc[i][v] = fmadd(lv, zv[v], acc[i][v]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int i = 1; i < R; ++i) {
+    zp = zc + len[0] * k_cols + kb;
+    for (index_t j = len[0]; j < len[i]; ++j, zp += k_cols) {
+      const double lv = lr[i][j];
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[i][v] = fmadd(lv, load8(zp + 8 * v), acc[i][v]);
+      }
+    }
+  }
+  const std::uint64_t mask = (std::uint64_t{1} << (8 * V)) - 1;
+  const std::uint64_t s = (skip >> kb) & mask;
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) {
+    double* xo = xr + i * k_cols + kb;
+    for (int v = 0; v < V; ++v) {
+      if (((s >> (8 * v)) & 0xFF) == 0) {
+        store8(xo + 8 * v, acc[i][v]);
+        continue;
+      }
+      for (int e = 0; e < 8; ++e) {
+        if (((s >> (8 * v + e)) & 1u) == 0) xo[8 * v + e] = acc[i][v][e];
+      }
+    }
+  }
+}
+
+/// R rows x one column k (the ragged column tail): scalar accumulators, R
+/// independent chains per factor column.
+template <int R>
+inline void apply_column(const double* const* lr, const index_t* len,
+                         const double* zc, double* xr, index_t k_cols,
+                         index_t k) {
+  double acc[R];
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) acc[i] = xr[i * k_cols + k];
+  for (index_t j = 0; j < len[0]; ++j) {
+    const double zv = zc[j * k_cols + k];
+#pragma GCC unroll 4
+    for (int i = 0; i < R; ++i) acc[i] = std::fma(lr[i][j], zv, acc[i]);
+  }
+#pragma GCC unroll 4
+  for (int i = 1; i < R; ++i) {
+    for (index_t j = len[0]; j < len[i]; ++j) {
+      acc[i] = std::fma(lr[i][j], zc[j * k_cols + k], acc[i]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) xr[i * k_cols + k] = acc[i];
+}
+
+/// All k_cols columns of R rows over one factor column chunk.
+template <int R>
+void apply_rows(const double* const* lr, const index_t* len, const double* zc,
+                double* xr, index_t k_cols, std::uint64_t skip) {
+  index_t k = 0;
+  for (; k + 16 <= k_cols; k += 16) {
+    if (((skip >> k) & 0xFFFF) != 0xFFFF) {
+      apply_block<R, 2>(lr, len, zc, xr, k_cols, k, skip);
+    }
+  }
+  if (k + 8 <= k_cols) {
+    if (((skip >> k) & 0xFF) != 0xFF) {
+      apply_block<R, 1>(lr, len, zc, xr, k_cols, k, skip);
+    }
+    k += 8;
+  }
+  for (; k < k_cols; ++k) {
+    if (((skip >> k) & 1u) == 0) apply_column<R>(lr, len, zc, xr, k_cols, k);
+  }
+}
+
+template <class Load>
+void apply_factor(const PackedFactorView& l, index_t r0, index_t r1,
+                  index_t c0, index_t c1, const double* z, double* x,
+                  index_t k_cols, std::uint64_t skip) {
+  alignas(64) double buf[kRows][kChunk];
+  for (index_t rb = r0; rb < r1; rb += kRows) {
+    const index_t rows = std::min(kRows, r1 - rb);
+    // Factor columns any row of this block touches (lower triangle: c <= r).
+    const index_t c_hi = std::min(c1, rb + rows);
+    for (index_t cs = c0; cs < c_hi; cs += kChunk) {
+      const index_t ce = std::min(c_hi, cs + kChunk);
+      const double* lr[kRows] = {};
+      index_t len[kRows] = {};
+      for (index_t i = 0; i < rows; ++i) {
+        len[i] = std::max<index_t>(0, std::min(ce, rb + i + 1) - cs);
+        if (len[i] > 0) lr[i] = Load::row(l, rb + i, cs, cs + len[i], buf[i]);
+      }
+      const double* zc = z + cs * k_cols;
+      double* xr = x + rb * k_cols;
+      if (rows == kRows) {
+        apply_rows<kRows>(lr, len, zc, xr, k_cols, skip);
+      } else {
+        for (index_t i = 0; i < rows; ++i) {
+          apply_rows<1>(lr + i, len + i, zc, xr + i * k_cols, k_cols, skip);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::size_t packed_factor_bytes(PackedStorage storage, index_t n) {
-  return packed_row_offset(storage, n);
+  return factor_row_offset(storage, false, n, n);
+}
+
+PackedFactorView dense_factor_view(const double* data, index_t n) {
+  PackedFactorView view;
+  view.bytes = reinterpret_cast<const unsigned char*>(data);
+  view.size_bytes = factor_row_offset(PackedStorage::F64, true, n, n);
+  view.n = n;
+  view.storage = PackedStorage::F64;
+  view.dense_rows = true;
+  return view;
 }
 
 void sample_apply_packed(const PackedFactorView& l, index_t r0, index_t r1,
@@ -1018,52 +1225,29 @@ void sample_apply_packed(const PackedFactorView& l, index_t r0, index_t r1,
   EXACLIM_CHECK(0 <= r0 && r0 <= r1 && r1 <= l.n && 0 <= c0 && c0 <= c1 &&
                     c1 <= l.n,
                 "sample_apply_packed block out of range");
-  EXACLIM_CHECK(l.size_bytes >= packed_factor_bytes(l.storage, l.n),
-                "packed factor payload shorter than its dimension implies");
+  EXACLIM_CHECK(!l.dense_rows || l.storage == PackedStorage::F64,
+                "dense factor rows must be f64");
+  EXACLIM_CHECK(l.size_bytes >=
+                    factor_row_offset(l.storage, l.dense_rows, l.n, l.n),
+                "factor payload shorter than its dimension implies");
   // The frame layout keeps every factor payload 8-aligned (all preceding
-  // sections are multiples of 8 bytes); the typed row loads below rely on it.
+  // sections are multiples of 8 bytes); the typed row loads rely on it.
   EXACLIM_CHECK(reinterpret_cast<std::uintptr_t>(l.bytes) % 8 == 0,
                 "packed factor payload is not 8-byte aligned");
   if (skip == (k_cols >= 64 ? ~std::uint64_t{0}
                             : (std::uint64_t{1} << k_cols) - 1)) {
     return;  // every column cancelled: the whole block pass is dead work
   }
-
-  for (index_t r = r0; r < r1; ++r) {
-    const index_t c_end = std::min(c1, r + 1);  // lower triangle: c <= r
-    if (c_end <= c0) continue;
-    double* xr = x + r * k_cols;
-    const unsigned char* row = l.bytes + packed_row_offset(l.storage, r);
-    switch (l.storage) {
-      case PackedStorage::F64: {
-        const double* lr = reinterpret_cast<const double*>(row);
-        for (index_t c = c0; c < c_end; ++c) {
-          axpy_row(lr[c], z + c * k_cols, xr, k_cols, skip);
-        }
-        break;
-      }
-      case PackedStorage::F32: {
-        const float* lr = reinterpret_cast<const float*>(row);
-        for (index_t c = c0; c < c_end; ++c) {
-          axpy_row(static_cast<double>(lr[c]), z + c * k_cols, xr, k_cols,
-                   skip);
-        }
-        break;
-      }
-      case PackedStorage::F16Scaled: {
-        float scale = 0.0f;
-        std::memcpy(&scale, row, sizeof(scale));
-        const double s = static_cast<double>(scale);
-        const auto* lr =
-            reinterpret_cast<const std::uint16_t*>(row + sizeof(float));
-        for (index_t c = c0; c < c_end; ++c) {
-          const double lv =
-              static_cast<double>(common::half_bits_to_float(lr[c])) * s;
-          axpy_row(lv, z + c * k_cols, xr, k_cols, skip);
-        }
-        break;
-      }
-    }
+  switch (l.storage) {
+    case PackedStorage::F64:
+      apply_factor<LoadF64>(l, r0, r1, c0, c1, z, x, k_cols, skip);
+      break;
+    case PackedStorage::F32:
+      apply_factor<LoadF32>(l, r0, r1, c0, c1, z, x, k_cols, skip);
+      break;
+    case PackedStorage::F16Scaled:
+      apply_factor<LoadF16Scaled>(l, r0, r1, c0, c1, z, x, k_cols, skip);
+      break;
   }
 }
 

@@ -250,16 +250,18 @@ void convert_f16_scaled_to_f64(const common::half* src, float scale,
 void convert_f16_scaled_to_f32(const common::half* src, float scale,
                                float* dst, index_t count);
 
-// --- Serving: batched multi-RHS apply over a packed-triangle factor ---------
+// --- Sampling: batched multi-RHS apply over a lower-triangular factor -------
 //
-// The serving engine draws K correlated realizations per pass as X = L * Z,
-// where L is the n x n lower-triangular Cholesky factor stored exactly as
-// the model file serializes it: packed lower-triangle rows in one of three
-// storage precisions (mirroring core::FactorStorage). The kernel below reads
-// those packed bytes directly — typically an mmap'd model section — so
-// serving needs no unpacked copy of the factor at all, and the K right-hand
-// sides amortize each factor element loaded from memory across the whole
-// batch (the multi-RHS form of the triangular apply).
+// Every correlated draw in the library — a served request or an emulator
+// innovation — is a column of X = L * Z, where L is the n x n lower-
+// triangular Cholesky factor and Z holds K independent standard-normal
+// columns. The kernel below reads the factor in place: either the packed
+// lower-triangle rows exactly as the model file serializes them (one of
+// three storage precisions, mirroring core::FactorStorage — typically an
+// mmap'd model section), or a dense row-major f64 matrix such as a trained
+// emulator's factor. The K right-hand sides amortize each factor element
+// loaded from memory across the whole panel (the multi-RHS form of the
+// triangular apply).
 
 /// Element layout of a packed lower-triangle factor payload.
 enum class PackedStorage : std::uint8_t {
@@ -268,26 +270,38 @@ enum class PackedStorage : std::uint8_t {
   F16Scaled = 2,  ///< row i = one float scale then (i+1) binary16 halves
 };
 
-/// Read-only view of a packed factor; `bytes` is borrowed, not owned.
+/// Read-only view of a factor; `bytes` is borrowed, not owned.
 struct PackedFactorView {
   const unsigned char* bytes = nullptr;
   std::size_t size_bytes = 0;
   index_t n = 0;
   PackedStorage storage = PackedStorage::F64;
+  /// F64 only: row r starts at element r * n (a row-major n x n matrix read
+  /// in place; its strict upper triangle is never read) instead of at the
+  /// packed offset r(r+1)/2.
+  bool dense_rows = false;
 };
 
 /// Exact payload size of a packed factor of dimension n.
 std::size_t packed_factor_bytes(PackedStorage storage, index_t n);
 
-/// Batched sampling apply over one block of the packed factor:
+/// In-place view of a row-major n x n f64 lower-triangular factor (e.g. a
+/// linalg::Matrix's data()); `data` must outlive the view.
+PackedFactorView dense_factor_view(const double* data, index_t n);
+
+/// Batched sampling apply over one block of the factor:
 ///   X[r, k] += sum_{c in [c0, min(c1, r+1))} L(r, c) * Z[c, k]
 /// for r in [r0, r1), k in [0, k_cols). X and Z are row-major n x k_cols
 /// panels. `skip` is a bitmask of cancelled batch columns (bit k set =
-/// column k is left untouched; k_cols <= 64). The accumulation order over c
-/// is fixed ascending — combined with the sampling DAG serializing the block
-/// passes over each X row in ascending block-column order, a request's
-/// column is bit-identical for any batch width, co-batched request set, or
-/// thread count. Widening (f32/f16 storage) happens per element, at read.
+/// column k is left byte-untouched; k_cols <= 64). Register-blocked: 4 rows
+/// x 16 columns of X stay in registers while the factor columns stream
+/// past, yet every element still accumulates its terms one multiply and one
+/// add at a time over c in fixed ascending order — the result is
+/// bit-identical to the plain triple loop. Combined with the sampling DAG
+/// serializing the block passes over each X row in ascending block-column
+/// order, a column's draw is bit-identical for any batch width, co-batched
+/// column set, tile size or thread count. Widening (f32/f16 storage)
+/// happens per element, at load.
 void sample_apply_packed(const PackedFactorView& l, index_t r0, index_t r1,
                          index_t c0, index_t c1, const double* z, double* x,
                          index_t k_cols, std::uint64_t skip);

@@ -138,4 +138,13 @@ TaskGraph build_sampling_dag(const linalg::PackedFactorView& factor,
   return graph;
 }
 
+RunStats run_sampling(const linalg::PackedFactorView& factor, const double* z,
+                      double* x, index_t k_cols, BatchControl* control,
+                      const SamplingDagOptions& dag_options,
+                      const SchedulerOptions& sched) {
+  const TaskGraph graph =
+      build_sampling_dag(factor, z, x, k_cols, control, dag_options);
+  return execute(graph, sched);
+}
+
 }  // namespace exaclim::runtime

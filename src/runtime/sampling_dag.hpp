@@ -1,12 +1,14 @@
-// Batched sampling DAG: X = L * Z over a packed frozen factor.
+// Batched sampling DAG: X = L * Z over a lower-triangular factor.
 //
-// A serving batch is an n x K multi-RHS panel: Z holds K independent
-// standard-normal columns (one per request), X accumulates the correlated
-// draws. The factor is blocked into nb = ceil(n / tile) block rows/columns;
-// task (bi, bj) applies packed block L(bi, bj) to Z's block row bj,
-// accumulating into X's block row bi. Accesses and effects are declared on
-// synthetic tiles of one logical grid — L at (bi, bj), Z at (bj, nb), X at
-// (bi, nb + 1), all on the Storage plane — so
+// The one sampling engine: a serving batch (one column per request) and an
+// emulator innovation panel (one column per (member, step)) are both an
+// n x K multi-RHS panel — Z holds K independent standard-normal columns, X
+// accumulates the correlated draws. The factor is blocked into
+// nb = ceil(n / tile) block rows/columns; task (bi, bj) applies factor
+// block L(bi, bj) to Z's block row bj, accumulating into X's block row bi.
+// Accesses and effects are declared on synthetic tiles of one logical
+// grid — L at (bi, bj), Z at (bj, nb), X at (bi, nb + 1), all on the
+// Storage plane — so
 //   * the dependence inference serializes the passes over each X block row
 //     in ascending bj (fixed accumulation order = bit-reproducible sums)
 //     while distinct block rows run in parallel, and
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "linalg/kernels.hpp"
+#include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
 
 namespace exaclim::runtime {
@@ -68,5 +71,14 @@ TaskGraph build_sampling_dag(const linalg::PackedFactorView& factor,
                              const double* z, double* x, index_t k_cols,
                              BatchControl* control,
                              const SamplingDagOptions& options = {});
+
+/// Builds the sampling DAG for x += L z and executes it: the single
+/// build-and-execute path every sampling caller goes through. Same operand
+/// contract as build_sampling_dag; `sched` carries threads, retry policy,
+/// verification mode and stall watchdog.
+RunStats run_sampling(const linalg::PackedFactorView& factor, const double* z,
+                      double* x, index_t k_cols, BatchControl* control,
+                      const SamplingDagOptions& dag_options,
+                      const SchedulerOptions& sched);
 
 }  // namespace exaclim::runtime

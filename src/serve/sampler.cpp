@@ -49,9 +49,6 @@ BatchOutcome BatchSampler::run_batch(
   runtime::SamplingDagOptions dag_options;
   dag_options.tile = options_.tile;
   dag_options.batch_key = batch_key;
-  const runtime::TaskGraph graph = runtime::build_sampling_dag(
-      factor, z_.data(), x_.data(), k_cols, &control, dag_options);
-
   runtime::SchedulerOptions sched;
   sched.threads = options_.threads;
   sched.retry = options_.retry;
@@ -59,7 +56,8 @@ BatchOutcome BatchSampler::run_batch(
   sched.stall_timeout_seconds = options_.stall_timeout_seconds;
 
   BatchOutcome outcome;
-  outcome.stats = runtime::execute(graph, sched);
+  outcome.stats = runtime::run_sampling(factor, z_.data(), x_.data(), k_cols,
+                                        &control, dag_options, sched);
   // Report the mask the tasks actually observed — not a fresh poll. A column
   // whose deadline passed after its last tile task completed still holds a
   // full, valid draw; cancellation only invalidates columns some task

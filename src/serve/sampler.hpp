@@ -3,7 +3,7 @@
 // "Train once, sample millions of times": after the tiled factorization the
 // serving workload is draws x = L z from N(0, L L^T). The BatchSampler
 // coalesces K pending requests into one n x K multi-RHS panel pass over the
-// mmap'd packed factor (linalg::sample_apply_packed via the sampling DAG),
+// mmap'd packed factor (runtime::run_sampling, the engine emulate uses too),
 // so every factor element loaded from memory is amortized across the whole
 // batch. Reproducibility contract: request k's standard-normal column is
 // drawn from Rng(seed).split(request_id) and the DAG fixes the accumulation

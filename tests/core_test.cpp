@@ -184,6 +184,11 @@ TEST_F(TrainedEmulator, EmulationIsDeterministicInSeed) {
   EXPECT_NE(a.raw(), c.raw());
 }
 
+TEST_F(TrainedEmulator, EmulateRejectsEmptyRequest) {
+  EXPECT_THROW(emulator_->emulate(0, 1, esm_->forcing, 1), InvalidArgument);
+  EXPECT_THROW(emulator_->emulate(24, 0, esm_->forcing, 1), InvalidArgument);
+}
+
 TEST_F(TrainedEmulator, EmulationMatchesTrainingMoments) {
   const auto emu = emulator_->emulate(esm_->data.num_steps(), 2,
                                       esm_->forcing, 99);

@@ -15,6 +15,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/emulator.hpp"
+#include "core/multivariate.hpp"
 #include "core/serialize.hpp"
 #include "stats/covariance.hpp"
 #include "stats/trend.hpp"
@@ -238,6 +239,93 @@ TEST(TrainDeterminism, CheckpointedAndResumedRunsMatchPlain) {
   const auto resumed = train_model_bytes(rcfg, "resume");
   EXPECT_TRUE(plain == resumed)
       << "resume from the final checkpoint diverged from the plain run";
+}
+
+// ---------- emulation ---------------------------------------------------------
+//
+// Emulation draws its innovations as multi-RHS panels on the task runtime;
+// each (member, step) column has its own RNG stream and the sampling DAG
+// fixes every accumulation order, so output bytes depend on neither the
+// thread count nor how many steps a run asks for.
+
+/// Steps [0, steps) of every member of `d`, member-major.
+std::vector<double> leading_steps(const climate::ClimateDataset& d,
+                                  index_t steps) {
+  std::vector<double> out;
+  for (index_t r = 0; r < d.num_ensembles(); ++r) {
+    for (index_t t = 0; t < steps; ++t) {
+      const auto f = d.field(r, t);
+      out.insert(out.end(), f.begin(), f.end());
+    }
+  }
+  return out;
+}
+
+const unsigned kEmulateThreads[] = {1, 2, 4, 7};
+
+TEST(EmulateDeterminism, UnivariateBytesIdenticalAcrossThreadCounts) {
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  std::vector<double> first;
+  for (const unsigned t : kEmulateThreads) {
+    core::EmulatorConfig cfg = tiny_config();
+    cfg.threads = t;
+    core::ClimateEmulator emulator(cfg);
+    emulator.train(esm.data, esm.forcing);
+    const auto bytes = emulator.emulate(48, 2, esm.forcing, 17).raw();
+    if (first.empty()) {
+      first = bytes;
+    } else {
+      EXPECT_TRUE(same_bytes(first, bytes)) << "threads=" << t;
+    }
+  }
+}
+
+TEST(EmulateDeterminism, UnivariateShortRunIsPrefixOfLongRun) {
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  core::ClimateEmulator emulator(tiny_config());
+  emulator.train(esm.data, esm.forcing);
+  const auto short_run = emulator.emulate(24, 2, esm.forcing, 23);
+  const auto long_run = emulator.emulate(48, 2, esm.forcing, 23);
+  EXPECT_TRUE(same_bytes(short_run.raw(),
+                         leading_steps(long_run, 24)));
+}
+
+climate::BivariateEsm tiny_bivariate() {
+  climate::SyntheticEsmConfig cfg = tiny_esm();
+  cfg.nugget_noise = 0.15;
+  return climate::generate_bivariate_esm(cfg, 0.5);
+}
+
+TEST(EmulateDeterminism, MultivariateBytesIdenticalAcrossThreadCounts) {
+  const auto data = tiny_bivariate();
+  std::vector<double> first;
+  for (const unsigned t : kEmulateThreads) {
+    core::EmulatorConfig cfg = tiny_config();
+    cfg.threads = t;
+    core::MultiVariateEmulator emulator(cfg);
+    emulator.train({&data.primary, &data.secondary}, data.forcing);
+    const auto emu = emulator.emulate(48, 2, data.forcing, 29);
+    std::vector<double> bytes = emu[0].raw();
+    bytes.insert(bytes.end(), emu[1].raw().begin(), emu[1].raw().end());
+    if (first.empty()) {
+      first = bytes;
+    } else {
+      EXPECT_TRUE(same_bytes(first, bytes)) << "threads=" << t;
+    }
+  }
+}
+
+TEST(EmulateDeterminism, MultivariateShortRunIsPrefixOfLongRun) {
+  const auto data = tiny_bivariate();
+  core::MultiVariateEmulator emulator(tiny_config());
+  emulator.train({&data.primary, &data.secondary}, data.forcing);
+  const auto short_run = emulator.emulate(24, 2, data.forcing, 31);
+  const auto long_run = emulator.emulate(48, 2, data.forcing, 31);
+  for (std::size_t v = 0; v < 2; ++v) {
+    EXPECT_TRUE(same_bytes(short_run[v].raw(),
+                           leading_steps(long_run[v], 24)))
+        << "variable " << v;
+  }
 }
 
 }  // namespace

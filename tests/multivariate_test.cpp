@@ -175,6 +175,11 @@ TEST_F(TrainedMultiVar, DeterministicInSeed) {
   EXPECT_EQ(a[1].raw(), b[1].raw());
 }
 
+TEST_F(TrainedMultiVar, EmulateRejectsEmptyRequest) {
+  EXPECT_THROW(emulator_->emulate(0, 1, data_->forcing, 1), InvalidArgument);
+  EXPECT_THROW(emulator_->emulate(24, 0, data_->forcing, 1), InvalidArgument);
+}
+
 TEST(MultiVar, RejectsMismatchedVariables) {
   const auto data = climate::generate_bivariate_esm(bivar_config(), 0.5);
   climate::ClimateDataset other(sht::GridShape{11, 20}, 10, 1, 5);
