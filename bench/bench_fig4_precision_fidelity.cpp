@@ -9,7 +9,7 @@
 #include "climate/synthetic_esm.hpp"
 #include "core/consistency.hpp"
 #include "core/emulator.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/precision_policy.hpp"
 #include "linalg/solve.hpp"
 #include "stats/covariance.hpp"
 

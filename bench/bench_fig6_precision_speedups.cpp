@@ -7,7 +7,6 @@
 //     variant ordering, CPU-sized matrices) — the shape that transfers.
 #include "bench_util.hpp"
 #include "common/timer.hpp"
-#include "linalg/cholesky.hpp"
 #include "perfmodel/calibration.hpp"
 #include "perfmodel/cholesky_sim.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"

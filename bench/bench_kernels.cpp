@@ -1,6 +1,7 @@
 // Measured kernel rates backing the performance model: per-precision tile
-// GEMM/SYRK/TRSM/POTRF, precision conversions, and full tile Cholesky
-// variants (sequential and runtime-parallel).
+// GEMM/SYRK/TRSM/POTRF, precision conversions, and the full tile Cholesky
+// on the task runtime (per precision variant at one thread, and across
+// thread counts).
 //
 // Default invocation runs the blocked-vs-reference quick bench and writes
 // BENCH_kernels.json (the perf trajectory future PRs regress against); pass
@@ -18,7 +19,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/topology.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 
@@ -164,7 +164,9 @@ void BM_CholeskyVariant(benchmark::State& state) {
     auto tiled =
         TiledSymmetricMatrix::from_dense(a, nb, make_band_policy(nt, variant));
     state.ResumeTiming();
-    cholesky_tiled(tiled);
+    runtime::RtCholeskyOptions opt;
+    opt.threads = 1;
+    runtime::cholesky_tiled_parallel(tiled, opt);
     benchmark::DoNotOptimize(&tiled);
   }
   state.counters["GFlop/s"] = benchmark::Counter(

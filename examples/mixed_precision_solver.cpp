@@ -11,7 +11,6 @@
 #include <cstdlib>
 
 #include "common/parallel.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/solve.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 

@@ -19,9 +19,8 @@ struct EmulatorConfig {
 
   /// Precision variant for the Cholesky of the innovation covariance.
   linalg::PrecisionVariant cholesky_variant = linalg::PrecisionVariant::DP;
-  index_t tile_size = 128;           ///< nb for the tiled solver
-  bool use_parallel_runtime = true;  ///< factor U via the task runtime
-  unsigned threads = 0;              ///< 0 = hardware concurrency
+  index_t tile_size = 128;  ///< nb for the tiled solver
+  unsigned threads = 0;     ///< 0 = hardware concurrency
 
   double jitter_base = 1e-10;  ///< diagonal perturbation scale (Eq. 9 repair)
 

@@ -24,6 +24,37 @@ ClimateEmulator::ClimateEmulator(EmulatorConfig config)
   EXACLIM_CHECK(config_.steps_per_year >= 1, "steps_per_year must be >= 1");
 }
 
+linalg::Matrix factor_covariance(const linalg::Matrix& u,
+                                 const EmulatorConfig& config,
+                                 TrainReport* report) {
+  const index_t n = u.rows();
+  const index_t nb = std::min(config.tile_size, n);
+  const index_t nt = (n + nb - 1) / nb;
+  linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
+      u, nb, linalg::make_band_policy(nt, config.cholesky_variant));
+  runtime::RtCholeskyOptions opt;
+  opt.threads = config.threads;
+  opt.ft.enabled = config.fault_tolerance;
+  opt.ft.integrity_checks = config.fault_tolerance;
+  opt.ft.jitter_base = config.jitter_base;
+  opt.ft.checkpoint_path = config.checkpoint_path;
+  opt.ft.checkpoint_every = config.checkpoint_every;
+  opt.ft.resume_path = config.resume_path;
+  opt.ft.checkpoint_sync = config.checkpoint_sync;
+  opt.stall_timeout_seconds = config.stall_timeout_seconds;
+  opt.stall_grace_seconds = config.stall_grace_seconds;
+  opt.verify = config.verify_mode;
+  const runtime::RtCholeskyResult rt =
+      runtime::cholesky_tiled_parallel(tiled, opt);
+  if (report != nullptr) {
+    report->precision_escalations = rt.precision_escalations;
+    report->jitter_escalations = rt.jitter_escalations;
+    report->checkpoints_written = rt.checkpoints_written;
+    report->resumed_from_checkpoint = rt.resumed;
+  }
+  return tiled.to_dense(/*lower_only=*/true);
+}
+
 TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
                                    std::span<const double> annual_forcing) {
   const index_t L = config_.band_limit;
@@ -202,37 +233,8 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
 
   // Mixed-precision tiled Cholesky of U-hat (the paper's headline solver).
   stage.reset();
-  const index_t nb = std::min(config_.tile_size, n_coeff);
-  const index_t nt = (n_coeff + nb - 1) / nb;
-  linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
-      prepared.u, nb,
-      linalg::make_band_policy(nt, config_.cholesky_variant));
-  if (config_.use_parallel_runtime) {
-    runtime::RtCholeskyOptions rt_opt;
-    rt_opt.threads = config_.threads;
-    rt_opt.ft.enabled = config_.fault_tolerance;
-    rt_opt.ft.integrity_checks = config_.fault_tolerance;
-    rt_opt.ft.jitter_base = config_.jitter_base;
-    rt_opt.ft.checkpoint_path = config_.checkpoint_path;
-    rt_opt.ft.checkpoint_every = config_.checkpoint_every;
-    rt_opt.ft.resume_path = config_.resume_path;
-    rt_opt.ft.checkpoint_sync = config_.checkpoint_sync;
-    rt_opt.stall_timeout_seconds = config_.stall_timeout_seconds;
-    rt_opt.stall_grace_seconds = config_.stall_grace_seconds;
-    rt_opt.verify = config_.verify_mode;
-    const runtime::RtCholeskyResult rt =
-        runtime::cholesky_tiled_parallel(tiled, rt_opt);
-    report.precision_escalations = rt.precision_escalations;
-    report.jitter_escalations = rt.jitter_escalations;
-    report.checkpoints_written = rt.checkpoints_written;
-    report.resumed_from_checkpoint = rt.resumed;
-  } else {
-    report.cholesky = linalg::cholesky_tiled(tiled);
-  }
-  factor_ = tiled.to_dense(/*lower_only=*/true);
+  factor_ = factor_covariance(prepared.u, config_, &report);
   report.cholesky_seconds = stage.seconds();
-  const double n_d = static_cast<double>(n_coeff);
-  report.cholesky_gflops = n_d * n_d * n_d / 3.0 * 1e-9;
 
   trained_ = true;
   report.total_seconds = total.seconds();

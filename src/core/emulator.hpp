@@ -23,7 +23,7 @@
 
 #include "climate/dataset.hpp"
 #include "core/config.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/matrix.hpp"
 #include "sht/sht.hpp"
 #include "stats/ar.hpp"
 #include "stats/trend.hpp"
@@ -40,11 +40,9 @@ struct TrainReport {
   double total_seconds = 0.0;
   double covariance_jitter = 0.0;
   bool covariance_deficient = false;
-  linalg::CholeskyStats cholesky;
-  double cholesky_gflops = 0.0;
   index_t innovation_samples = 0;  ///< R (T - P)
 
-  // Fault-tolerance outcomes from the tiled Cholesky (parallel runtime only).
+  // Fault-tolerance outcomes from the tiled Cholesky.
   index_t precision_escalations = 0;
   index_t jitter_escalations = 0;
   index_t checkpoints_written = 0;
@@ -53,10 +51,17 @@ struct TrainReport {
   // Input-screening outcomes (climate::validate_dataset).
   index_t validation_flagged = 0;      ///< cells/fields flagged by screening
   index_t validation_quarantined = 0;  ///< cells imputed (--quarantine)
-
-  // Memory-budget outcomes.
-  index_t tiles_degraded_for_memory = 0;  ///< tiles narrowed to f16 by budget
 };
+
+/// The training factorization both emulators share: tiles the innovation
+/// covariance `u` under config's precision variant and tile size, factorizes
+/// it with runtime::cholesky_tiled_parallel using config's thread,
+/// fault-tolerance, checkpoint, stall-watchdog and verify settings, and
+/// returns the dense lower factor V (U = V V^T). When `report` is non-null
+/// it receives the fault-tolerance outcomes.
+linalg::Matrix factor_covariance(const linalg::Matrix& u,
+                                 const EmulatorConfig& config,
+                                 TrainReport* report = nullptr);
 
 /// A trained emulator. Copyable; serializable via core/serialize.hpp.
 class ClimateEmulator {

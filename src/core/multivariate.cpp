@@ -7,8 +7,8 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "core/emulator.hpp"
 #include "core/var_forward.hpp"
-#include "runtime/tiled_cholesky_rt.hpp"
 #include "sht/packing.hpp"
 #include "stats/covariance.hpp"
 
@@ -210,17 +210,7 @@ MultiVarTrainReport MultiVariateEmulator::train(
     }
   }
 
-  const index_t nb = std::min(config_.tile_size, joint_dim);
-  const index_t nt = (joint_dim + nb - 1) / nb;
-  linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
-      prepared.u, nb, linalg::make_band_policy(nt, config_.cholesky_variant));
-  runtime::RtCholeskyOptions rt_opt;
-  rt_opt.threads = config_.threads;
-  rt_opt.stall_timeout_seconds = config_.stall_timeout_seconds;
-  rt_opt.stall_grace_seconds = config_.stall_grace_seconds;
-  rt_opt.verify = config_.verify_mode;
-  runtime::cholesky_tiled_parallel(tiled, rt_opt);
-  factor_ = tiled.to_dense(/*lower_only=*/true);
+  factor_ = factor_covariance(prepared.u, config_);
 
   trained_ = true;
   report.total_seconds = total.seconds();

@@ -19,7 +19,7 @@
 
 #include "climate/dataset.hpp"
 #include "core/config.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/matrix.hpp"
 #include "sht/sht.hpp"
 #include "stats/ar.hpp"
 #include "stats/trend.hpp"

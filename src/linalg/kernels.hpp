@@ -6,9 +6,9 @@
 //   * FP64 kernels: plain double arithmetic.
 //   * FP32 kernels: plain float arithmetic.
 //   * FP16 "tensor-core" path: operands are rounded through IEEE binary16 and
-//     the multiply-accumulate runs in fp32 (see gemm/syrk callers in
-//     cholesky.cpp), which is exactly the V100/A100/H100/MI250X tensor-core
-//     contract the paper relies on.
+//     the multiply-accumulate runs in fp32 (see the gemm/syrk task bodies
+//     in runtime/tiled_cholesky_rt.cpp), which is exactly the
+//     V100/A100/H100/MI250X tensor-core contract the paper relies on.
 //
 // All tiles are row-major with a leading dimension equal to the tile width.
 // Kernels take explicit (m, n, k) so ragged edge tiles work.
@@ -34,9 +34,9 @@ std::size_t precision_bytes(Precision p);
 /// RAII thread-local tile context. While one is alive on the calling thread,
 /// NumericalError messages thrown from the tile kernels name the tile
 /// (row, col) and the active precision, so a failed POTRF/TRSM in a large
-/// tiled run is actionable instead of anonymous. Set by the sequential
-/// engine and by the runtime task bodies around each kernel invocation;
-/// nesting restores the outer context on destruction.
+/// tiled run is actionable instead of anonymous. Set by the runtime task
+/// bodies around each kernel invocation; nesting restores the outer context
+/// on destruction.
 class ScopedTileContext {
  public:
   ScopedTileContext(index_t row, index_t col, Precision p);

@@ -2,8 +2,8 @@
 // emulator layers, plus reference (non-tiled) factorizations.
 //
 // Row-major storage. These are deliberately simple value types; the
-// performance-critical path is the tiled mixed-precision solver in
-// linalg/tile_matrix.hpp + linalg/cholesky.hpp, not this class.
+// performance-critical path is the tiled mixed-precision solver over
+// linalg/tile_matrix.hpp in runtime/tiled_cholesky_rt.hpp, not this class.
 #pragma once
 
 #include <span>

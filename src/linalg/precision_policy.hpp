@@ -24,6 +24,14 @@
 
 namespace exaclim::linalg {
 
+/// Where precision conversions happen in the tiled Cholesky (the runtime
+/// builds this choice into its task graph, see runtime/tiled_cholesky_rt.hpp):
+///   * Sender converts once per produced tile and target precision, and all
+///     consumers share the copy (the paper's optimized placement);
+///   * Receiver converts privately inside every consuming task (the
+///     baseline of [34] that Fig. 5 compares against).
+enum class ConversionPlacement { Sender, Receiver };
+
 /// The four paper variants.
 enum class PrecisionVariant { DP, DP_SP, DP_SP_HP, DP_HP };
 

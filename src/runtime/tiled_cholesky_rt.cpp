@@ -733,4 +733,16 @@ RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
   return result;
 }
 
+linalg::Matrix cholesky_mixed_dense(const linalg::Matrix& a, index_t nb,
+                                    linalg::PrecisionVariant v,
+                                    const RtCholeskyOptions& options,
+                                    RtCholeskyResult* result) {
+  const index_t nt = (a.rows() + nb - 1) / nb;
+  linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
+      a, nb, linalg::make_band_policy(nt, v));
+  const RtCholeskyResult r = cholesky_tiled_parallel(tiled, options);
+  if (result != nullptr) *result = r;
+  return tiled.to_dense(/*lower_only=*/true);
+}
+
 }  // namespace exaclim::runtime

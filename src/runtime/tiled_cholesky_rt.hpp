@@ -1,8 +1,17 @@
-// Runtime-parallel mixed-precision tile Cholesky.
+// Mixed-precision tile Cholesky (right-looking) on the task runtime — the
+// library's one tiled factorization.
 //
-// Builds the POTRF/TRSM/SYRK/GEMM task graph over a TiledSymmetricMatrix and
-// executes it on the work-stealing scheduler. Precision-conversion placement
-// is expressed in the DAG itself:
+// Factorizes a TiledSymmetricMatrix in place: on return the lower-triangle
+// tiles hold L with A ~= L L^T, each tile still in its assigned storage
+// precision. The task structure matches the paper (Section V-A):
+//   POTRF(k,k)  -> broadcasts to TRSM(i,k), i > k
+//   TRSM(i,k)   -> broadcasts to GEMM(i,j,k) in row i / column i, SYRK(i,k)
+// Tasks compute in the precision class of their *output* tile; fp16 tiles
+// compute with half-rounded operands and fp32 accumulation (tensor-core
+// semantics). The graph runs on the work-stealing scheduler at any thread
+// count, threads = 1 included, and the factor is bit-identical across
+// thread counts and conversion placements. Precision-conversion placement
+// (linalg::ConversionPlacement) is expressed in the DAG itself:
 //   * Sender placement inserts explicit CONVERT tasks right after the
 //     producing POTRF/TRSM, writing a shared converted copy that all
 //     consumers read — one conversion per (tile, precision), exactly
@@ -22,7 +31,7 @@
 #include <string>
 
 #include "common/io.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/precision_policy.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
@@ -85,11 +94,21 @@ struct RtCholeskyResult {
   bool resumed = false;               ///< tiles restored from resume_path
 };
 
-/// Factorizes `a` in place in parallel. Throws NumericalError if a diagonal
-/// tile is not positive definite (after quiescing the worker pool).
+/// Factorizes `a` in place. A diagonal tile that is not positive definite
+/// fails the run (after quiescing the worker pool) with a TaskFailure
+/// naming the POTRF tile.
 RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
                                          const RtCholeskyOptions& options = {},
                                          Trace* trace = nullptr);
+
+/// Convenience: tiles a dense SPD matrix with tile size `nb` under the band
+/// policy of variant `v`, factorizes it with cholesky_tiled_parallel and
+/// returns the dense lower factor (upper zeroed). `result`, when non-null,
+/// receives the run's RtCholeskyResult.
+linalg::Matrix cholesky_mixed_dense(const linalg::Matrix& a, index_t nb,
+                                    linalg::PrecisionVariant v,
+                                    const RtCholeskyOptions& options = {},
+                                    RtCholeskyResult* result = nullptr);
 
 /// Holds the task graph plus the converted-copy buffers the task bodies
 /// reference; must outlive execution.

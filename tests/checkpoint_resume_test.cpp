@@ -13,7 +13,6 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/failure.hpp"

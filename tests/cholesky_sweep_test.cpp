@@ -1,12 +1,13 @@
 // Broad parameter sweeps over the mixed-precision tile Cholesky: matrix
 // size x tile size grids (including primes and ragged edges), correlation
-// structure, solve-through-the-factor accuracy, and cross-engine agreement.
+// structure, solve-through-the-factor accuracy, and bit-identity across
+// thread counts and conversion placements.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/solve.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 
@@ -14,6 +15,7 @@ namespace {
 
 using namespace exaclim;
 using namespace exaclim::linalg;
+using runtime::cholesky_mixed_dense;
 
 Matrix spd(index_t n, double length_scale) {
   Matrix a(n, n);
@@ -48,22 +50,22 @@ TEST_P(SizeTileSweep, DpHpFactorizationWithinHalfPrecision)
   EXPECT_LT(cholesky_residual(a, l), 2e-2) << "n=" << n << " nb=" << nb;
 }
 
-TEST_P(SizeTileSweep, RuntimeMatchesSequential) {
+TEST_P(SizeTileSweep, IdenticalAcrossThreadsAndPlacements) {
   const auto [n, nb] = GetParam();
-  const index_t nt = (n + nb - 1) / nb;
   const Matrix a = spd(n, static_cast<double>(n) / 10.0);
-  auto seq = TiledSymmetricMatrix::from_dense(
-      a, nb, make_band_policy(nt, PrecisionVariant::DP_SP));
-  cholesky_tiled(seq);
-  auto par = TiledSymmetricMatrix::from_dense(
-      a, nb, make_band_policy(nt, PrecisionVariant::DP_SP));
   runtime::RtCholeskyOptions opt;
-  opt.threads = 8;
-  runtime::cholesky_tiled_parallel(par, opt);
-  const Matrix l1 = seq.to_dense(true);
-  const Matrix l2 = par.to_dense(true);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) EXPECT_EQ(l1(i, j), l2(i, j));
+  opt.threads = 1;
+  const Matrix ref = cholesky_mixed_dense(a, nb, PrecisionVariant::DP_SP, opt);
+  for (unsigned threads : {1u, 8u}) {
+    for (auto placement :
+         {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
+      opt.threads = threads;
+      opt.placement = placement;
+      const Matrix l =
+          cholesky_mixed_dense(a, nb, PrecisionVariant::DP_SP, opt);
+      EXPECT_EQ(std::memcmp(l.data(), ref.data(), sizeof(double) * n * n), 0)
+          << "n=" << n << " nb=" << nb << " threads=" << threads;
+    }
   }
 }
 

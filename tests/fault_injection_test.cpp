@@ -14,7 +14,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/io.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/failure.hpp"

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/half.hpp"
 #include "common/rng.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/precision_policy.hpp"
@@ -21,6 +21,7 @@ namespace {
 
 using namespace exaclim;
 using namespace exaclim::linalg;
+using runtime::cholesky_mixed_dense;
 using common::half;
 
 // ---------- binary16 boundary values ----------------------------------------
@@ -276,28 +277,21 @@ TEST(LargeMagnitudeCholesky, DpHpResidualComparableToUnitScale) {
   EXPECT_LT(r_big, 10.0 * r_unit + 1e-12);
 }
 
-TEST(LargeMagnitudeCholesky, RuntimeParallelMatchesSequential) {
+TEST(LargeMagnitudeCholesky, IdenticalAcrossThreadsAndPlacements) {
   const index_t n = 192;
-  const index_t nb = 48;
-  const index_t nt = (n + nb - 1) / nb;
   const Matrix a = covariance_spd(n, 1e6);
-  auto seq = TiledSymmetricMatrix::from_dense(
-      a, nb, make_band_policy(nt, PrecisionVariant::DP_HP));
-  cholesky_tiled(seq);
-  for (auto placement :
-       {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
-    auto par = TiledSymmetricMatrix::from_dense(
-        a, nb, make_band_policy(nt, PrecisionVariant::DP_HP));
-    runtime::RtCholeskyOptions opt;
-    opt.threads = 4;
-    opt.placement = placement;
-    runtime::cholesky_tiled_parallel(par, opt);
-    const Matrix l1 = seq.to_dense(true);
-    const Matrix l2 = par.to_dense(true);
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j <= i; ++j) {
-        ASSERT_EQ(l1(i, j), l2(i, j)) << i << "," << j;
-      }
+  runtime::RtCholeskyOptions opt;
+  opt.threads = 1;
+  const Matrix ref = cholesky_mixed_dense(a, 48, PrecisionVariant::DP_HP, opt);
+  for (unsigned threads : {1u, 8u}) {
+    for (auto placement :
+         {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
+      opt.threads = threads;
+      opt.placement = placement;
+      const Matrix l =
+          cholesky_mixed_dense(a, 48, PrecisionVariant::DP_HP, opt);
+      EXPECT_EQ(std::memcmp(l.data(), ref.data(), sizeof(double) * n * n), 0)
+          << "threads=" << threads;
     }
   }
 }
@@ -309,7 +303,7 @@ TEST(LargeMagnitudeCholesky, TileCentricPolicyStaysFinite) {
   const auto map = make_tile_centric_policy(a, nb, 0.5, 0.2);
   EXPECT_GT(map.fraction(Precision::FP16), 0.0);  // policy did assign HP
   auto tiled = TiledSymmetricMatrix::from_dense(a, nb, map);
-  cholesky_tiled(tiled);
+  runtime::cholesky_tiled_parallel(tiled);
   const Matrix l = tiled.to_dense(true);
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j <= i; ++j) {

@@ -3,19 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/tile_matrix.hpp"
+#include "runtime/failure.hpp"
+#include "runtime/tiled_cholesky_rt.hpp"
 
 namespace {
 
 using namespace exaclim;
 using namespace exaclim::linalg;
+using runtime::cholesky_mixed_dense;
+using runtime::RtCholeskyOptions;
+using runtime::RtCholeskyResult;
 
 /// SPD test matrix with exponentially decaying off-diagonal correlation —
 /// the structure of the emulator's innovation covariance that band-based
@@ -264,14 +269,14 @@ class MixedCholesky : public ::testing::TestWithParam<CholeskyCase> {};
 TEST_P(MixedCholesky, ResidualWithinPolicyTolerance) {
   const auto [n, nb, variant, tol] = GetParam();
   Matrix a = decaying_spd(n);
-  CholeskyStats stats;
-  const Matrix l = cholesky_mixed_dense(a, nb, variant, &stats);
+  RtCholeskyResult result;
+  const Matrix l = cholesky_mixed_dense(a, nb, variant, {}, &result);
   EXPECT_LT(cholesky_residual(a, l), tol)
       << variant_name(variant) << " n=" << n << " nb=" << nb;
-  // Task count: nt POTRF + nt(nt-1)/2 TRSM + nt(nt-1)/2 SYRK +
+  // Kernel task count: nt POTRF + nt(nt-1)/2 TRSM + nt(nt-1)/2 SYRK +
   // nt(nt-1)(nt-2)/6 GEMM.
   const index_t nt = (n + nb - 1) / nb;
-  EXPECT_EQ(stats.tasks,
+  EXPECT_EQ(result.total_tasks - result.convert_tasks,
             nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6);
 }
 
@@ -305,50 +310,31 @@ TEST(MixedCholeskyAccuracy, ResidualOrderingMatchesPaper) {
   EXPECT_LT(residuals[1], residuals[2]);
 }
 
-TEST(MixedCholeskyConversions, SenderConvertsLessThanReceiver) {
-  const index_t n = 320;
-  const index_t nb = 64;
-  const index_t nt = (n + nb - 1) / nb;
-  Matrix a = decaying_spd(n);
-  double conversions[2];
-  int idx = 0;
-  for (auto placement :
-       {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
-    auto t = TiledSymmetricMatrix::from_dense(
-        a, nb, make_band_policy(nt, PrecisionVariant::DP_HP));
-    CholeskyOptions opt;
-    opt.placement = placement;
-    conversions[idx++] = cholesky_tiled(t, opt).element_conversions;
-  }
-  EXPECT_LT(conversions[0], conversions[1]);
-}
-
 TEST(MixedCholeskyConversions, DpVariantConvertsNothing) {
-  const index_t n = 128;
-  Matrix a = decaying_spd(n);
-  auto t = TiledSymmetricMatrix::from_dense(
-      a, 32, make_band_policy(4, PrecisionVariant::DP));
-  EXPECT_EQ(cholesky_tiled(t).element_conversions, 0.0);
+  RtCholeskyResult result;
+  cholesky_mixed_dense(decaying_spd(128), 32, PrecisionVariant::DP, {},
+                       &result);
+  EXPECT_EQ(result.element_conversions, 0.0);
 }
 
 TEST(MixedCholesky, SenderAndReceiverProduceIdenticalFactors) {
+  // Conversion placement changes where operands are narrowed, never their
+  // values, and the thread count never changes the per-tile kernel order.
   const index_t n = 192;
-  const index_t nb = 48;
-  Matrix a = decaying_spd(n);
-  Matrix factors[2];
-  int idx = 0;
-  for (auto placement :
-       {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
-    auto t = TiledSymmetricMatrix::from_dense(
-        a, nb, make_band_policy(4, PrecisionVariant::DP_HP));
-    CholeskyOptions opt;
-    opt.placement = placement;
-    cholesky_tiled(t, opt);
-    factors[idx++] = t.to_dense(true);
-  }
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) {
-      EXPECT_EQ(factors[0](i, j), factors[1](i, j)) << i << "," << j;
+  const Matrix a = decaying_spd(n);
+  const Matrix ref = cholesky_mixed_dense(a, 48, PrecisionVariant::DP_SP_HP);
+  for (unsigned threads : {1u, 8u}) {
+    for (auto placement :
+         {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
+      RtCholeskyOptions opt;
+      opt.threads = threads;
+      opt.placement = placement;
+      const Matrix l =
+          cholesky_mixed_dense(a, 48, PrecisionVariant::DP_SP_HP, opt);
+      EXPECT_EQ(std::memcmp(l.data(), ref.data(), sizeof(double) * n * n), 0)
+          << "threads=" << threads
+          << (placement == ConversionPlacement::Sender ? " sender"
+                                                       : " receiver");
     }
   }
 }
@@ -370,19 +356,7 @@ TEST(MixedCholesky, ThrowsOnIndefiniteMatrix) {
   Matrix a(64, 64);
   for (index_t i = 0; i < 64; ++i) a(i, i) = -1.0;
   EXPECT_THROW(cholesky_mixed_dense(a, 32, PrecisionVariant::DP),
-               NumericalError);
-}
-
-TEST(MixedCholesky, StatsAccumulateTimings) {
-  Matrix a = decaying_spd(256);
-  CholeskyStats stats;
-  cholesky_mixed_dense(a, 64, PrecisionVariant::DP_HP, &stats);
-  EXPECT_GT(stats.seconds, 0.0);
-  EXPECT_GT(stats.flops, 0.0);
-  EXPECT_GT(stats.gflops_per_second(), 0.0);
-  EXPECT_GT(stats.gemm_seconds + stats.trsm_seconds + stats.syrk_seconds +
-                stats.potrf_seconds,
-            0.0);
+               runtime::TaskFailure);
 }
 
 // ---------- solve helpers --------------------------------------------------------

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 
 #include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
@@ -178,6 +181,35 @@ TEST_F(TrainedMultiVar, DeterministicInSeed) {
 TEST_F(TrainedMultiVar, EmulateRejectsEmptyRequest) {
   EXPECT_THROW(emulator_->emulate(0, 1, data_->forcing, 1), InvalidArgument);
   EXPECT_THROW(emulator_->emulate(24, 0, data_->forcing, 1), InvalidArgument);
+}
+
+TEST_F(TrainedMultiVar, CheckpointedAndResumedFactorsMatchPlain) {
+  // The joint factorization honours the checkpoint/resume settings of its
+  // config: training writes the snapshot, and a run resumed from it
+  // reproduces the uninterrupted factor bit for bit.
+  const std::string ckpt = ::testing::TempDir() + "multivar_factor_ckpt.bin";
+  std::remove(ckpt.c_str());
+  const linalg::Matrix& plain = emulator_->cholesky_factor();
+  const auto same_bytes = [&](const linalg::Matrix& v) {
+    return v.rows() == plain.rows() && v.cols() == plain.cols() &&
+           std::memcmp(v.data(), plain.data(),
+                       sizeof(double) * plain.rows() * plain.cols()) == 0;
+  };
+
+  EmulatorConfig cfg = joint_config();
+  cfg.checkpoint_path = ckpt;
+  cfg.checkpoint_every = 4;
+  MultiVariateEmulator checkpointed(cfg);
+  checkpointed.train({&data_->primary, &data_->secondary}, data_->forcing);
+  ASSERT_TRUE(std::filesystem::exists(ckpt));
+  EXPECT_TRUE(same_bytes(checkpointed.cholesky_factor()));
+
+  EmulatorConfig rcfg = joint_config();
+  rcfg.resume_path = ckpt;
+  MultiVariateEmulator resumed(rcfg);
+  resumed.train({&data_->primary, &data_->secondary}, data_->forcing);
+  EXPECT_TRUE(same_bytes(resumed.cholesky_factor()));
+  std::remove(ckpt.c_str());
 }
 
 TEST(MultiVar, RejectsMismatchedVariables) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -312,26 +313,24 @@ INSTANTIATE_TEST_SUITE_P(
         RtCase{linalg::PrecisionVariant::DP_HP,
                linalg::ConversionPlacement::Sender, 24, 5e-3}));
 
-TEST(RtCholesky, MatchesSequentialEngineExactly) {
-  // The runtime version must produce bit-identical factors to the sequential
-  // engine (same kernels, same order per tile).
+TEST(RtCholesky, IdenticalAcrossThreadsAndPlacements) {
+  // Same kernels, same order per tile: one worker or eight, sender or
+  // receiver conversions, the factor is bit-identical.
   const index_t n = 192;
-  const index_t nb = 48;
-  const index_t nt = (n + nb - 1) / nb;
-  linalg::Matrix a = decaying_spd(n);
-  auto seq = linalg::TiledSymmetricMatrix::from_dense(
-      a, nb, linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
-  linalg::cholesky_tiled(seq);
-  auto par = linalg::TiledSymmetricMatrix::from_dense(
-      a, nb, linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
+  const linalg::Matrix a = decaying_spd(n);
   RtCholeskyOptions opt;
-  opt.threads = 8;
-  cholesky_tiled_parallel(par, opt);
-  const linalg::Matrix l1 = seq.to_dense(true);
-  const linalg::Matrix l2 = par.to_dense(true);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) {
-      EXPECT_EQ(l1(i, j), l2(i, j)) << i << "," << j;
+  opt.threads = 1;
+  const linalg::Matrix ref =
+      cholesky_mixed_dense(a, 48, linalg::PrecisionVariant::DP_HP, opt);
+  for (unsigned threads : {1u, 8u}) {
+    for (auto placement : {linalg::ConversionPlacement::Sender,
+                           linalg::ConversionPlacement::Receiver}) {
+      opt.threads = threads;
+      opt.placement = placement;
+      const linalg::Matrix l =
+          cholesky_mixed_dense(a, 48, linalg::PrecisionVariant::DP_HP, opt);
+      EXPECT_EQ(std::memcmp(l.data(), ref.data(), sizeof(double) * n * n), 0)
+          << "threads=" << threads;
     }
   }
 }
