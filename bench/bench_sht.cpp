@@ -3,14 +3,18 @@
 // scaling claim of Section III-A.2.
 //
 // Default invocation runs the quick bench and writes BENCH_sht.json (the
-// perf trajectory future PRs regress against), including a speedup column
-// against the brute-force analyze_reference oracle at small L; pass
+// perf trajectory future PRs regress against): per-field microseconds,
+// median and quartiles over 11 timed blocks, for single-field calls (K = 1)
+// and packed batches of K = 16 and 64 fields, on the calling thread only
+// (transform calls are serial; callers parallelize across batches). Pass
 // --gbench to additionally run the full Google-benchmark suite below.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -109,51 +113,69 @@ BENCHMARK(BM_PackUnpack)->Arg(32)->Arg(128);
 
 // --- BENCH_sht.json quick bench ---------------------------------------------
 
-void write_sht_json() {
-  using exaclim::bench::time_op;
-  exaclim::bench::JsonBench out;
-  for (index_t L : {16, 32, 64, 96, 128}) {
-    const GridShape grid{L + 1, 2 * L};
-    const SHTPlan plan(L, grid);
-    const auto coeffs = random_coeffs(L, 1);
-    const auto field = plan.synthesize(coeffs);
-
-    const double ta = time_op([&] {
-      auto c = plan.analyze(field);
-      benchmark::DoNotOptimize(c.data());
-    });
-    const double ts = time_op([&] {
-      auto f = plan.synthesize(coeffs);
-      benchmark::DoNotOptimize(f.data());
-    });
-    // Brute-force least-squares oracle: O(L^6) solve, only feasible tiny.
-    double tref = 0.0;
-    if (L <= 16) {
-      tref = time_op(
-          [&] {
-            auto c = analyze_reference(L, grid, field);
-            benchmark::DoNotOptimize(c.data());
-          },
-          0.2, 1);
-    }
-    const double l3 = static_cast<double>(L) * L * L;
-    char ref_cols[128] = "";
-    if (tref > 0.0) {
-      std::snprintf(ref_cols, sizeof(ref_cols),
-                    ", \"ref_ms\": %.4f, \"speedup_vs_ref\": %.2f",
-                    tref * 1e3, tref / ta);
-    }
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"L\": %lld, \"nlat\": %lld, \"nlon\": %lld, "
-        "\"analyze_ms\": %.4f, \"synthesize_ms\": %.4f, "
-        "\"analyze_l3_per_s\": %.4g, \"synthesize_l3_per_s\": %.4g%s}",
-        static_cast<long long>(L), static_cast<long long>(grid.nlat),
-        static_cast<long long>(grid.nlon), ta * 1e3, ts * 1e3, l3 / ta,
-        l3 / ts, ref_cols);
-    out.add(buf);
+/// One row: K fields per call (K = 1 runs the single-field analyze /
+/// synthesize entry points, K > 1 the packed batch calls), one thread.
+void add_row(exaclim::bench::JsonBench& out, index_t L, index_t K) {
+  const GridShape grid{L + 1, 2 * L};
+  const SHTPlan plan(L, grid);
+  const index_t np = grid.num_points();
+  std::vector<double> packed;
+  for (index_t k = 0; k < K; ++k) {
+    const auto p = pack_real(L, random_coeffs(L, 1 + static_cast<std::uint64_t>(k)));
+    packed.insert(packed.end(), p.begin(), p.end());
   }
+  std::vector<double> fields(static_cast<std::size_t>(K * np));
+  plan.synthesize_packed(packed, K, fields);
+  std::vector<double> out_packed(packed.size());
+  const auto coeffs = unpack_real(
+      L, std::span<const double>(packed).first(static_cast<std::size_t>(L * L)));
+  exaclim::bench::Spread ta, ts;
+  if (K == 1) {
+    ta = exaclim::bench::time_spread(
+        [&] {
+          auto c = plan.analyze(fields);
+          benchmark::DoNotOptimize(c.data());
+        });
+    ts = exaclim::bench::time_spread(
+        [&] {
+          auto f = plan.synthesize(coeffs);
+          benchmark::DoNotOptimize(f.data());
+        });
+  } else {
+    ta = exaclim::bench::time_spread(
+        [&] {
+          plan.analyze_packed(fields, K, out_packed);
+          benchmark::DoNotOptimize(out_packed.data());
+        });
+    ts = exaclim::bench::time_spread(
+        [&] {
+          plan.synthesize_packed(packed, K, fields);
+          benchmark::DoNotOptimize(fields.data());
+        });
+  }
+  // Seconds per call -> microseconds per field.
+  auto us = [K](double s) { return s * 1e6 / static_cast<double>(K); };
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"L\": %lld, \"nlat\": %lld, \"nlon\": %lld, \"K\": %lld, "
+      "\"reps\": %d, \"analyze_us_per_field\": %.2f, "
+      "\"analyze_q1\": %.2f, \"analyze_q3\": %.2f, "
+      "\"synthesize_us_per_field\": %.2f, \"synthesize_q1\": %.2f, "
+      "\"synthesize_q3\": %.2f}",
+      static_cast<long long>(L), static_cast<long long>(grid.nlat),
+      static_cast<long long>(grid.nlon), static_cast<long long>(K), ta.reps,
+      us(ta.median), us(ta.q1), us(ta.q3), us(ts.median), us(ts.q1),
+      us(ts.q3));
+  out.add(buf);
+}
+
+void write_sht_json() {
+  exaclim::bench::JsonBench out;
+  for (index_t L : {16, 32, 64}) {
+    for (index_t K : {1, 16, 64}) add_row(out, L, K);
+  }
+  for (index_t L : {96, 128}) add_row(out, L, 1);
   const auto& team = exaclim::common::WorkerTeam::instance();
   const auto& topo = exaclim::common::Topology::instance();
   const unsigned hc = std::thread::hardware_concurrency();

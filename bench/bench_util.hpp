@@ -52,6 +52,38 @@ double time_op(F&& fn, double budget = 0.1, int min_reps = 2) {
   return t.seconds() / reps;
 }
 
+/// Median and quartiles of seconds per invocation over `reps` timed blocks.
+struct Spread {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
+  int reps = 0;
+};
+
+/// Like time_op, but reports the spread: after a warm-up call and a probe
+/// call, each of `reps` blocks repeats fn until ~`block` seconds have passed,
+/// so one sample sits well above the timer's resolution.
+template <typename F>
+Spread time_spread(F&& fn, int reps = 11, double block = 0.02) {
+  fn();
+  common::Timer probe;
+  fn();
+  const double est = std::max(probe.seconds(), 1e-7);
+  const int calls = std::max(1, static_cast<int>(block / est));
+  std::vector<double> s;
+  for (int r = 0; r < reps; ++r) {
+    common::Timer t;
+    for (int c = 0; c < calls; ++c) fn();
+    s.push_back(t.seconds() / calls);
+  }
+  std::sort(s.begin(), s.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(s.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, s.size() - 1);
+    return s[lo] + (pos - static_cast<double>(lo)) * (s[hi] - s[lo]);
+  };
+  return {at(0.5), at(0.25), at(0.75), reps};
+}
+
 /// Accumulates rows and writes the machine-readable BENCH_*.json files that
 /// future PRs regress against. Values are emitted as given; rows are flat
 /// key/value objects.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "sht/sht.hpp"
 
 namespace exaclim::core {
@@ -61,26 +62,58 @@ std::vector<double> pooled_sample(const climate::ClimateDataset& ds,
 }
 
 /// Mean spherical power spectrum of detrended (per-point-mean-removed)
-/// fields over a subsample of time steps.
-std::vector<double> mean_spectrum(const climate::ClimateDataset& ds,
+/// fields over a subsample of time steps. The subsampled anomalies are
+/// analyzed in fixed batches across workers; each field's spectrum lands in
+/// its own slot and the slots are summed in field order, so the result is
+/// the same at any thread count. With the isometric pack_real layout,
+/// C_l = (1/(2l+1)) * (sum of squares of degree l's packed block).
+std::vector<double> mean_spectrum(const sht::SHTPlan& plan,
+                                  const climate::ClimateDataset& ds,
                                   const std::vector<double>& mean_field,
-                                  index_t band_limit) {
-  const sht::SHTPlan plan(band_limit, ds.grid());
-  std::vector<double> spec(static_cast<std::size_t>(band_limit), 0.0);
+                                  unsigned threads) {
+  const index_t L = plan.band_limit();
+  const index_t np = ds.grid().num_points();
   const index_t step = std::max<index_t>(1, ds.num_steps() / 16);
-  index_t count = 0;
-  std::vector<double> anomaly(
-      static_cast<std::size_t>(ds.grid().num_points()));
-  for (index_t r = 0; r < ds.num_ensembles(); ++r) {
-    for (index_t t = 0; t < ds.num_steps(); t += step) {
-      const auto field = ds.field(r, t);
-      for (std::size_t p = 0; p < anomaly.size(); ++p) {
-        anomaly[p] = field[p] - mean_field[p];
-      }
-      const auto coeffs = plan.analyze(anomaly);
-      const auto s = plan.power_spectrum(coeffs);
-      for (std::size_t l = 0; l < spec.size(); ++l) spec[l] += s[l];
-      ++count;
+  const index_t per_member = (ds.num_steps() + step - 1) / step;
+  const index_t count = ds.num_ensembles() * per_member;
+  std::vector<double> spectra(static_cast<std::size_t>(count * L));
+  const index_t batch = sht::SHTPlan::batch_fields();
+  common::parallel_for(
+      0, (count + batch - 1) / batch,
+      [&](index_t b) {
+        const index_t i0 = b * batch;
+        const index_t kb = std::min(batch, count - i0);
+        std::vector<double> anomaly(static_cast<std::size_t>(kb * np));
+        for (index_t k = 0; k < kb; ++k) {
+          const index_t s = i0 + k;
+          const auto field =
+              ds.field(s / per_member, (s % per_member) * step);
+          double* a = anomaly.data() + k * np;
+          for (index_t p = 0; p < np; ++p) {
+            a[p] = field[static_cast<std::size_t>(p)] -
+                   mean_field[static_cast<std::size_t>(p)];
+          }
+        }
+        std::vector<double> packed(static_cast<std::size_t>(kb * L * L));
+        plan.analyze_packed(anomaly, kb, packed);
+        for (index_t k = 0; k < kb; ++k) {
+          const double* c = packed.data() + k * L * L;
+          double* spec = spectra.data() + (i0 + k) * L;
+          for (index_t l = 0; l < L; ++l) {
+            double acc = 0.0;
+            for (index_t j = l * l; j < (l + 1) * (l + 1); ++j) {
+              acc += c[j] * c[j];
+            }
+            spec[l] = acc / (2.0 * l + 1.0);
+          }
+        }
+      },
+      threads);
+  std::vector<double> spec(static_cast<std::size_t>(L), 0.0);
+  for (index_t s = 0; s < count; ++s) {
+    for (index_t l = 0; l < L; ++l) {
+      spec[static_cast<std::size_t>(l)] +=
+          spectra[static_cast<std::size_t>(s * L + l)];
     }
   }
   for (auto& v : spec) v /= static_cast<double>(count);
@@ -91,7 +124,7 @@ std::vector<double> mean_spectrum(const climate::ClimateDataset& ds,
 
 ConsistencyReport evaluate_consistency(const climate::ClimateDataset& sim,
                                        const climate::ClimateDataset& emu,
-                                       index_t band_limit) {
+                                       index_t band_limit, unsigned threads) {
   EXACLIM_CHECK(sim.grid().nlat == emu.grid().nlat &&
                     sim.grid().nlon == emu.grid().nlon,
                 "datasets must share a grid");
@@ -141,8 +174,11 @@ ConsistencyReport evaluate_consistency(const climate::ClimateDataset& sim,
 
   // Spherical power spectra of anomalies.
   {
-    const auto spec_sim = mean_spectrum(sim, sim_mean, band_limit);
-    const auto spec_emu = mean_spectrum(emu, emu_mean, band_limit);
+    const sht::SHTPlan plan(band_limit, sim.grid());
+    const unsigned workers =
+        threads == 0 ? common::default_thread_count() : threads;
+    const auto spec_sim = mean_spectrum(plan, sim, sim_mean, workers);
+    const auto spec_emu = mean_spectrum(plan, emu, emu_mean, workers);
     double acc = 0.0;
     index_t terms = 0;
     for (index_t l = 1; l < band_limit; ++l) {

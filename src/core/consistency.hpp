@@ -27,9 +27,12 @@ struct ConsistencyReport {
 };
 
 /// Compares two datasets on the same grid. `band_limit` controls the
-/// spectrum comparison (use the emulator's L).
+/// spectrum comparison (use the emulator's L). The spectra's SHT batches run
+/// on up to `threads` workers (0 = the worker team's width); the report is
+/// bit-identical at any thread count.
 ConsistencyReport evaluate_consistency(const climate::ClimateDataset& sim,
                                        const climate::ClimateDataset& emu,
-                                       index_t band_limit);
+                                       index_t band_limit,
+                                       unsigned threads = 0);
 
 }  // namespace exaclim::core

@@ -1,5 +1,6 @@
 #include "core/emulator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -11,7 +12,6 @@
 #include "common/timer.hpp"
 #include "core/var_forward.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
-#include "sht/packing.hpp"
 #include "stats/covariance.hpp"
 
 namespace exaclim::core {
@@ -141,37 +141,47 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
   // f[r][t] stored as one big row-major (R*T) x L^2 matrix.
   linalg::Matrix f(R * T, n_coeff);
   nugget_var_.assign(static_cast<std::size_t>(num_points), 0.0);
-  // Deterministic reduction: the old mutex-guarded accumulation summed the
-  // per-(r,t) residuals in completion order, so two identical runs drifted at
-  // the last ulp. parallel_reduce fixes the chunking and combine order as a
-  // function of R*T alone, making the nugget section bit-stable at any
-  // --threads (ROADMAP "bit-reproducible training" item).
+  // Fields go through the SHT in fixed batches of consecutive (r, t) rows:
+  // each batch is standardized, analyzed straight into its rows of f, and
+  // synthesized back for the truncation residual. The deterministic
+  // reduction runs over batches, whose boundaries (like parallel_reduce's
+  // chunking and combine order) are a function of R*T alone, so the nugget
+  // section stays bit-stable at any --threads.
+  const index_t batch = sht::SHTPlan::batch_fields();
+  const index_t num_batches = (R * T + batch - 1) / batch;
   const std::vector<double> nugget_acc = common::parallel_reduce(
-      0, R * T, std::vector<double>(static_cast<std::size_t>(num_points), 0.0),
-      [&](std::vector<double>& acc, index_t rt) {
-        const index_t r = rt / T;
-        const index_t t = rt % T;
-        const auto obs = data.field(r, t);
-        std::vector<double> z(static_cast<std::size_t>(num_points));
-        for (index_t p = 0; p < num_points; ++p) {
-          const auto& tm = trend_[static_cast<std::size_t>(p)];
-          z[static_cast<std::size_t>(p)] =
-              (obs[static_cast<std::size_t>(p)] -
-               trend_series_per_point[static_cast<std::size_t>(p)]
-                                     [static_cast<std::size_t>(t)]) /
-              tm.sigma;
+      0, num_batches,
+      std::vector<double>(static_cast<std::size_t>(num_points), 0.0),
+      [&](std::vector<double>& acc, index_t b) {
+        const index_t rt0 = b * batch;
+        const index_t kb = std::min(batch, R * T - rt0);
+        const auto batch_points = static_cast<std::size_t>(kb * num_points);
+        std::vector<double> z(batch_points);
+        for (index_t k = 0; k < kb; ++k) {
+          const index_t t = (rt0 + k) % T;
+          const auto obs = data.field((rt0 + k) / T, t);
+          double* zk = z.data() + k * num_points;
+          for (index_t p = 0; p < num_points; ++p) {
+            zk[p] = (obs[static_cast<std::size_t>(p)] -
+                     trend_series_per_point[static_cast<std::size_t>(p)]
+                                           [static_cast<std::size_t>(t)]) /
+                    trend_[static_cast<std::size_t>(p)].sigma;
+          }
         }
-        const std::vector<cplx> coeffs = plan_->analyze(z);
-        const std::vector<double> packed = sht::pack_real(L, coeffs);
-        std::copy(packed.begin(), packed.end(),
-                  f.data() + static_cast<std::size_t>(rt) *
-                                 static_cast<std::size_t>(n_coeff));
+        const std::span<double> rows(
+            f.data() + static_cast<std::size_t>(rt0 * n_coeff),
+            static_cast<std::size_t>(kb * n_coeff));
+        plan_->analyze_packed(z, kb, rows);
         // Truncation residual -> nugget variance accumulation.
-        const std::vector<double> back = plan_->synthesize(coeffs);
-        for (index_t p = 0; p < num_points; ++p) {
-          const double e =
-              z[static_cast<std::size_t>(p)] - back[static_cast<std::size_t>(p)];
-          acc[static_cast<std::size_t>(p)] += e * e;
+        std::vector<double> back(batch_points);
+        plan_->synthesize_packed(rows, kb, back);
+        for (index_t k = 0; k < kb; ++k) {
+          const double* zk = z.data() + k * num_points;
+          const double* bk = back.data() + k * num_points;
+          for (index_t p = 0; p < num_points; ++p) {
+            const double e = zk[p] - bk[p];
+            acc[static_cast<std::size_t>(p)] += e * e;
+          }
         }
       },
       [num_points](std::vector<double>& into, std::vector<double>&& from) {
@@ -271,29 +281,41 @@ climate::ClimateDataset ClimateEmulator::emulate(
       },
       threads);
 
+  // Each panel's kept steps are already packed coefficient rows; they are
+  // synthesized in fixed batches, one batch per parallel iteration,
+  // straight into the member's consecutive output fields, which then take
+  // the nugget and the trend in place.
   const index_t n_coeff = sh_coeff_count(L);
+  const index_t batch = sht::SHTPlan::batch_fields();
   for (index_t r = 0; r < num_ensembles; ++r) {
     run_member_var(factor_, ar_, config_, num_steps, seed, r,
                    [&](const StepPanel& panel) {
       common::parallel_for(
-          0, panel.num_steps,
-          [&](index_t i) {
-            const double* row = panel.coefficients + i * n_coeff;
-            const std::vector<double> packed(row, row + n_coeff);
-            const std::vector<cplx> coeffs = sht::unpack_real(L, packed);
-            const std::vector<double> field = plan_->synthesize(coeffs);
-            common::Rng nug(panel.nugget_seeds[i]);
-            const index_t t = panel.first_step + i;
-            auto dst = out.field(r, t);
-            for (index_t p = 0; p < num_points; ++p) {
-              double z = field[static_cast<std::size_t>(p)];
-              z += std::sqrt(nugget_var_[static_cast<std::size_t>(p)]) *
-                   nug.normal();
-              const auto& tm = trend_[static_cast<std::size_t>(p)];
-              dst[static_cast<std::size_t>(p)] =
-                  trend_series_per_point[static_cast<std::size_t>(p)]
-                                        [static_cast<std::size_t>(t)] +
-                  tm.sigma * z;
+          0, (panel.num_steps + batch - 1) / batch,
+          [&](index_t b) {
+            const index_t i0 = b * batch;
+            const index_t kb = std::min(batch, panel.num_steps - i0);
+            plan_->synthesize_packed(
+                {panel.coefficients + i0 * n_coeff,
+                 static_cast<std::size_t>(kb * n_coeff)},
+                kb,
+                {out.field(r, panel.first_step + i0).data(),
+                 static_cast<std::size_t>(kb * num_points)});
+            for (index_t k = 0; k < kb; ++k) {
+              const index_t i = i0 + k;
+              common::Rng nug(panel.nugget_seeds[i]);
+              const index_t t = panel.first_step + i;
+              auto dst = out.field(r, t);
+              for (index_t p = 0; p < num_points; ++p) {
+                double z = dst[static_cast<std::size_t>(p)];
+                z += std::sqrt(nugget_var_[static_cast<std::size_t>(p)]) *
+                     nug.normal();
+                const auto& tm = trend_[static_cast<std::size_t>(p)];
+                dst[static_cast<std::size_t>(p)] =
+                    trend_series_per_point[static_cast<std::size_t>(p)]
+                                          [static_cast<std::size_t>(t)] +
+                    tm.sigma * z;
+              }
             }
           },
           threads);

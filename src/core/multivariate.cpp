@@ -1,5 +1,6 @@
 #include "core/multivariate.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "climate/validate.hpp"
@@ -9,7 +10,6 @@
 #include "common/timer.hpp"
 #include "core/emulator.hpp"
 #include "core/var_forward.hpp"
-#include "sht/packing.hpp"
 #include "stats/covariance.hpp"
 
 namespace exaclim::core {
@@ -88,6 +88,8 @@ MultiVarTrainReport MultiVariateEmulator::train(
       config_.threads == 0 ? common::default_thread_count() : config_.threads;
   const stats::TrendFitter trend_fitter(T, annual_forcing,
                                         config_.trend_config());
+  const index_t batch = sht::SHTPlan::batch_fields();
+  const index_t num_batches = (R * T + batch - 1) / batch;
 
   for (index_t v = 0; v < num_vars; ++v) {
     const climate::ClimateDataset& data = *sources[static_cast<std::size_t>(v)];
@@ -119,34 +121,44 @@ MultiVarTrainReport MultiVariateEmulator::train(
         threads);
 
     auto& nug = nugget_var_[static_cast<std::size_t>(v)];
-    // Deterministic reduction (see emulator.cpp): fixed chunking and ordered
-    // combine keep the nugget section bit-identical across --threads.
+    // Batched SHT with a deterministic reduction over fixed batches (see
+    // emulator.cpp): the nugget section stays bit-identical across
+    // --threads. The packed rows are analyzed into a contiguous buffer, then
+    // copied into this variable's columns of the joint matrix.
     nug = common::parallel_reduce(
-        0, R * T,
+        0, num_batches,
         std::vector<double>(static_cast<std::size_t>(num_points), 0.0),
-        [&](std::vector<double>& acc, index_t rt) {
-          const index_t r = rt / T;
-          const index_t t = rt % T;
-          const auto obs = data.field(r, t);
-          std::vector<double> z(static_cast<std::size_t>(num_points));
-          for (index_t p = 0; p < num_points; ++p) {
-            z[static_cast<std::size_t>(p)] =
-                (obs[static_cast<std::size_t>(p)] -
-                 trend_series_per_point[static_cast<std::size_t>(p)]
-                                       [static_cast<std::size_t>(t)]) /
-                var_trend[static_cast<std::size_t>(p)].sigma;
+        [&](std::vector<double>& acc, index_t b) {
+          const index_t rt0 = b * batch;
+          const index_t kb = std::min(batch, R * T - rt0);
+          const auto batch_points = static_cast<std::size_t>(kb * num_points);
+          std::vector<double> z(batch_points);
+          for (index_t k = 0; k < kb; ++k) {
+            const index_t t = (rt0 + k) % T;
+            const auto obs = data.field((rt0 + k) / T, t);
+            double* zk = z.data() + k * num_points;
+            for (index_t p = 0; p < num_points; ++p) {
+              zk[p] = (obs[static_cast<std::size_t>(p)] -
+                       trend_series_per_point[static_cast<std::size_t>(p)]
+                                             [static_cast<std::size_t>(t)]) /
+                      var_trend[static_cast<std::size_t>(p)].sigma;
+            }
           }
-          const auto coeffs = plan_->analyze(z);
-          const auto packed = sht::pack_real(L, coeffs);
-          std::copy(packed.begin(), packed.end(),
-                    f.data() + static_cast<std::size_t>(rt) *
-                                   static_cast<std::size_t>(joint_dim) +
-                        static_cast<std::size_t>(v * n_coeff));
-          const auto back = plan_->synthesize(coeffs);
-          for (index_t p = 0; p < num_points; ++p) {
-            const double e = z[static_cast<std::size_t>(p)] -
-                             back[static_cast<std::size_t>(p)];
-            acc[static_cast<std::size_t>(p)] += e * e;
+          std::vector<double> packed(static_cast<std::size_t>(kb * n_coeff));
+          plan_->analyze_packed(z, kb, packed);
+          for (index_t k = 0; k < kb; ++k) {
+            std::copy_n(packed.data() + k * n_coeff, n_coeff,
+                        f.data() + (rt0 + k) * joint_dim + v * n_coeff);
+          }
+          std::vector<double> back(batch_points);
+          plan_->synthesize_packed(packed, kb, back);
+          for (index_t k = 0; k < kb; ++k) {
+            const double* zk = z.data() + k * num_points;
+            const double* bk = back.data() + k * num_points;
+            for (index_t p = 0; p < num_points; ++p) {
+              const double e = zk[p] - bk[p];
+              acc[static_cast<std::size_t>(p)] += e * e;
+            }
           }
         },
         [num_points](std::vector<double>& into, std::vector<double>&& from) {
@@ -268,33 +280,51 @@ std::vector<climate::ClimateDataset> MultiVariateEmulator::emulate(
         threads);
   }
 
+  // Kept steps are synthesized in fixed batches, variable by variable,
+  // straight into each variable's consecutive output fields; a step's
+  // nugget stream is then consumed variable by variable, point by point.
   const index_t joint_dim = num_variables_ * n_coeff;
+  const index_t batch = sht::SHTPlan::batch_fields();
   for (index_t r = 0; r < num_ensembles; ++r) {
     run_member_var(factor_, ar_, config_, num_steps, seed, r,
                    [&](const StepPanel& panel) {
       common::parallel_for(
-          0, panel.num_steps,
-          [&](index_t i) {
-            common::Rng nug(panel.nugget_seeds[i]);
-            const index_t t = panel.first_step + i;
-            const double* row = panel.coefficients + i * joint_dim;
+          0, (panel.num_steps + batch - 1) / batch,
+          [&](index_t b) {
+            const index_t i0 = b * batch;
+            const index_t kb = std::min(batch, panel.num_steps - i0);
+            std::vector<double> packed(static_cast<std::size_t>(kb * n_coeff));
             for (index_t v = 0; v < num_variables_; ++v) {
-              const std::vector<double> packed(row + v * n_coeff,
-                                               row + (v + 1) * n_coeff);
-              const auto coeffs = sht::unpack_real(L, packed);
-              const auto field = plan_->synthesize(coeffs);
-              auto dst = out[static_cast<std::size_t>(v)].field(r, t);
-              const auto& nugget = nugget_var_[static_cast<std::size_t>(v)];
-              const auto& tm_all = trend_[static_cast<std::size_t>(v)];
-              const auto& series = trend_series[static_cast<std::size_t>(v)];
-              for (index_t p = 0; p < num_points; ++p) {
-                double z = field[static_cast<std::size_t>(p)];
-                z += std::sqrt(nugget[static_cast<std::size_t>(p)]) *
-                     nug.normal();
-                dst[static_cast<std::size_t>(p)] =
-                    series[static_cast<std::size_t>(p)]
-                          [static_cast<std::size_t>(t)] +
-                    tm_all[static_cast<std::size_t>(p)].sigma * z;
+              for (index_t k = 0; k < kb; ++k) {
+                std::copy_n(panel.coefficients + (i0 + k) * joint_dim +
+                                v * n_coeff,
+                            n_coeff, packed.data() + k * n_coeff);
+              }
+              plan_->synthesize_packed(
+                  packed, kb,
+                  {out[static_cast<std::size_t>(v)]
+                       .field(r, panel.first_step + i0)
+                       .data(),
+                   static_cast<std::size_t>(kb * num_points)});
+            }
+            for (index_t k = 0; k < kb; ++k) {
+              const index_t i = i0 + k;
+              common::Rng nug(panel.nugget_seeds[i]);
+              const index_t t = panel.first_step + i;
+              for (index_t v = 0; v < num_variables_; ++v) {
+                auto dst = out[static_cast<std::size_t>(v)].field(r, t);
+                const auto& nugget = nugget_var_[static_cast<std::size_t>(v)];
+                const auto& tm_all = trend_[static_cast<std::size_t>(v)];
+                const auto& series = trend_series[static_cast<std::size_t>(v)];
+                for (index_t p = 0; p < num_points; ++p) {
+                  double z = dst[static_cast<std::size_t>(p)];
+                  z += std::sqrt(nugget[static_cast<std::size_t>(p)]) *
+                       nug.normal();
+                  dst[static_cast<std::size_t>(p)] =
+                      series[static_cast<std::size_t>(p)]
+                            [static_cast<std::size_t>(t)] +
+                      tm_all[static_cast<std::size_t>(p)].sigma * z;
+                }
               }
             }
           },

@@ -1,5 +1,6 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <unordered_map>
@@ -15,11 +16,16 @@ using common::next_pow2;
 namespace {
 
 /// Precomputed machinery for an iterative radix-2 transform of length n=2^k.
+/// Twiddles are stored as split re/im arrays and the butterflies run in
+/// explicit real arithmetic on the interleaved (re, im) doubles: without
+/// -ffast-math a std::complex product carries C99 Annex G inf/NaN recovery
+/// (a NaN test and a __muldc3 fallback per multiply), which made it several
+/// times slower than the four multiplies and two adds it stands for.
 struct Radix2 {
   index_t n = 0;
-  std::vector<index_t> bit_reverse;       // permutation table
-  std::vector<cplx> twiddles_fwd;         // e^{-2pi i j / n}, j < n/2
-  std::vector<cplx> twiddles_inv;         // e^{+2pi i j / n}, j < n/2
+  std::vector<index_t> bit_reverse;  // permutation table
+  std::vector<double> tw_re;         // cos(-2 pi j / n), j < n/2
+  std::vector<double> tw_im;         // sin(-2 pi j / n), j < n/2
 
   explicit Radix2(index_t length) : n(length) {
     bit_reverse.resize(static_cast<std::size_t>(n));
@@ -32,31 +38,45 @@ struct Radix2 {
       }
       bit_reverse[static_cast<std::size_t>(i)] = rev;
     }
-    twiddles_fwd.resize(static_cast<std::size_t>(n / 2));
-    twiddles_inv.resize(static_cast<std::size_t>(n / 2));
+    tw_re.resize(static_cast<std::size_t>(n / 2));
+    tw_im.resize(static_cast<std::size_t>(n / 2));
     for (index_t j = 0; j < n / 2; ++j) {
       const double ang = -kTwoPi * static_cast<double>(j) / static_cast<double>(n);
-      twiddles_fwd[static_cast<std::size_t>(j)] = {std::cos(ang), std::sin(ang)};
-      twiddles_inv[static_cast<std::size_t>(j)] = {std::cos(ang), -std::sin(ang)};
+      tw_re[static_cast<std::size_t>(j)] = std::cos(ang);
+      tw_im[static_cast<std::size_t>(j)] = std::sin(ang);
     }
   }
 
+  /// The inverse direction conjugates the forward twiddles (sign flip of the
+  /// imaginary part) instead of storing a second table.
   void execute(cplx* data, bool inverse_dir) const {
-    const auto& tw = inverse_dir ? twiddles_inv : twiddles_fwd;
     for (index_t i = 0; i < n; ++i) {
       const index_t j = bit_reverse[static_cast<std::size_t>(i)];
       if (i < j) std::swap(data[i], data[j]);
     }
+    double* d = reinterpret_cast<double*>(data);
+    const double* twr = tw_re.data();
+    const double* twi = tw_im.data();
+    const double isign = inverse_dir ? -1.0 : 1.0;
     for (index_t len = 2; len <= n; len <<= 1) {
       const index_t half = len >> 1;
       const index_t stride = n / len;
       for (index_t base = 0; base < n; base += len) {
+        double* u = d + 2 * base;
+        double* v = u + 2 * half;
         for (index_t j = 0; j < half; ++j) {
-          const cplx w = tw[static_cast<std::size_t>(j * stride)];
-          const cplx u = data[base + j];
-          const cplx v = data[base + j + half] * w;
-          data[base + j] = u + v;
-          data[base + j + half] = u - v;
+          const double wr = twr[j * stride];
+          const double wi = isign * twi[j * stride];
+          const double xr = v[2 * j];
+          const double xi = v[2 * j + 1];
+          const double vr = xr * wr - xi * wi;
+          const double vi = xr * wi + xi * wr;
+          const double ur = u[2 * j];
+          const double ui = u[2 * j + 1];
+          u[2 * j] = ur + vr;
+          u[2 * j + 1] = ui + vi;
+          v[2 * j] = ur - vr;
+          v[2 * j + 1] = ui - vi;
         }
       }
     }
@@ -110,34 +130,40 @@ struct Plan::Impl {
   void bluestein(cplx* data, bool inverse_dir) const {
     // For the inverse direction the chirp is conjugated; we reuse the forward
     // tables by conjugating input and output (DFT_inv(x) = conj(DFT(conj x))/N,
-    // applied below by the caller for normalization).
-    std::vector<cplx> a(static_cast<std::size_t>(m), cplx{0.0, 0.0});
-    if (!inverse_dir) {
-      for (index_t j = 0; j < n; ++j) {
-        a[static_cast<std::size_t>(j)] = data[j] * chirp[static_cast<std::size_t>(j)];
-      }
-    } else {
-      for (index_t j = 0; j < n; ++j) {
-        a[static_cast<std::size_t>(j)] =
-            std::conj(data[j]) * chirp[static_cast<std::size_t>(j)];
-      }
+    // applied below by the caller for normalization). The m-length
+    // convolution buffer is per-thread scratch that grows to the largest
+    // Bluestein length the thread has run and is then reused by every call.
+    thread_local std::vector<cplx> scratch;
+    if (scratch.size() < static_cast<std::size_t>(m)) {
+      scratch.resize(static_cast<std::size_t>(m));
     }
-    conv_fft->execute(a.data(), false);
+    double* a = reinterpret_cast<double*>(scratch.data());
+    const double* x = reinterpret_cast<const double*>(data);
+    const double* c = reinterpret_cast<const double*>(chirp.data());
+    const double conj_in = inverse_dir ? -1.0 : 1.0;
+    for (index_t j = 0; j < n; ++j) {
+      const double xr = x[2 * j];
+      const double xi = conj_in * x[2 * j + 1];
+      a[2 * j] = xr * c[2 * j] - xi * c[2 * j + 1];
+      a[2 * j + 1] = xr * c[2 * j + 1] + xi * c[2 * j];
+    }
+    std::fill(a + 2 * n, a + 2 * m, 0.0);
+    conv_fft->execute(scratch.data(), false);
+    const double* f = reinterpret_cast<const double*>(filter_fft.data());
     for (index_t j = 0; j < m; ++j) {
-      a[static_cast<std::size_t>(j)] *= filter_fft[static_cast<std::size_t>(j)];
+      const double ar = a[2 * j];
+      const double ai = a[2 * j + 1];
+      a[2 * j] = ar * f[2 * j] - ai * f[2 * j + 1];
+      a[2 * j + 1] = ar * f[2 * j + 1] + ai * f[2 * j];
     }
-    conv_fft->execute(a.data(), true);
+    conv_fft->execute(scratch.data(), true);
     const double inv_m = 1.0 / static_cast<double>(m);
-    if (!inverse_dir) {
-      for (index_t k = 0; k < n; ++k) {
-        data[k] = a[static_cast<std::size_t>(k)] * inv_m *
-                  chirp[static_cast<std::size_t>(k)];
-      }
-    } else {
-      for (index_t k = 0; k < n; ++k) {
-        data[k] = std::conj(a[static_cast<std::size_t>(k)] * inv_m *
-                            chirp[static_cast<std::size_t>(k)]);
-      }
+    double* out = reinterpret_cast<double*>(data);
+    for (index_t k = 0; k < n; ++k) {
+      const double ar = a[2 * k] * inv_m;
+      const double ai = a[2 * k + 1] * inv_m;
+      out[2 * k] = ar * c[2 * k] - ai * c[2 * k + 1];
+      out[2 * k + 1] = conj_in * (ar * c[2 * k + 1] + ai * c[2 * k]);
     }
   }
 

@@ -21,7 +21,8 @@
 namespace exaclim::fft {
 
 /// A reusable transform of fixed length. Thread-safe for concurrent execute
-/// calls once constructed (all mutable state lives in caller buffers).
+/// calls once constructed: the data lives in caller buffers, and the
+/// Bluestein path's convolution buffer is per-thread scratch.
 class Plan {
  public:
   /// Builds a plan for length n >= 1.

@@ -11,7 +11,7 @@ constexpr double kSqrt2 = 1.41421356237309504880;
 }
 
 std::vector<double> pack_real(index_t band_limit,
-                              const std::vector<cplx>& coeffs) {
+                              std::span<const cplx> coeffs) {
   EXACLIM_CHECK(static_cast<index_t>(coeffs.size()) == tri_count(band_limit),
                 "coefficient count must be band_limit*(band_limit+1)/2");
   std::vector<double> packed(static_cast<std::size_t>(band_limit * band_limit));
@@ -29,7 +29,7 @@ std::vector<double> pack_real(index_t band_limit,
 }
 
 std::vector<cplx> unpack_real(index_t band_limit,
-                              const std::vector<double>& packed) {
+                              std::span<const double> packed) {
   EXACLIM_CHECK(
       static_cast<index_t>(packed.size()) == band_limit * band_limit,
       "packed length must be band_limit^2");

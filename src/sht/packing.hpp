@@ -11,6 +11,7 @@
 // covariance modelling of the field.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -21,10 +22,10 @@ namespace exaclim::sht {
 /// Packs complex coefficients (triangular layout, m >= 0, tri_index order)
 /// into a real vector of length band_limit^2. The imaginary part of every
 /// z_{l,0} must be ~0 (real field); it is dropped.
-std::vector<double> pack_real(index_t band_limit, const std::vector<cplx>& coeffs);
+std::vector<double> pack_real(index_t band_limit, std::span<const cplx> coeffs);
 
 /// Inverse of pack_real.
-std::vector<cplx> unpack_real(index_t band_limit, const std::vector<double>& packed);
+std::vector<cplx> unpack_real(index_t band_limit, std::span<const double> packed);
 
 /// Offset of degree l's block inside the packed real vector: sum over
 /// l' < l of (2l'+1) = l^2.

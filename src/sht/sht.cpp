@@ -1,25 +1,90 @@
 #include "sht/sht.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "linalg/kernels.hpp"
 #include "sht/packing.hpp"
+#include "sht/wigner.hpp"
 
 namespace exaclim::sht {
 
 double colatitude_integral(index_t q) {
   // I(q) = int_0^pi e^{i q theta} sin(theta) dtheta (Eq. 8). The value is
-  // real for even q and imaginary for odd q; only |q| = 1 survives among odd
-  // q. We return the real coefficient and let callers apply the i factor —
-  // but it is simpler to fold the full complex value into the W accumulation,
-  // so this helper returns the *real* part for even q and is not used for
-  // odd q (see SHTPlan::analyze). Kept public for tests.
+  // real for even q and imaginary for odd q, where only |q| = 1 survives
+  // (I(+-1) = +-i pi/2); callers handle those two inline.
   EXACLIM_CHECK(q % 2 == 0, "colatitude_integral handles even q; odd q is "
                             "imaginary and handled inline");
   const double qd = static_cast<double>(q);
   return 2.0 / (1.0 - qd * qd);
 }
+
+namespace {
+
+constexpr double kSqrt2 = 1.41421356237309504880;
+
+/// Fields per GEMM batch. A batch's scratch (the order panels) is about as
+/// large as its fields and every worker holds one batch at a time, so the
+/// size trades transform speed against transient memory: 16 fields fill the
+/// AVX-512 micro-kernel's 32-wide sliver but added ~2% to perfbench's
+/// serve-L32 peak RSS; 8 fields (16 right-hand sides) cost ~10-25% per
+/// field at L = 32-64 and halve that scratch (docs/PERF.md).
+constexpr index_t kBatchFields = 8;
+
+/// Steps 2-3 of the analysis for the unit ring input G_m = e_i: extend along
+/// colatitude with parity `sign` = (-1)^m, recover K_{m,m'} for |m'| <= L-1
+/// by FFT and write W_{m,n} = sum_{m'} K_{m,m'} I(n + m') to
+/// (w_re, w_im)[n + L-1]. I(q) is colatitude_integral(q) for even q,
+/// +-i pi/2 for q = +-1 and zero for every other odd q. The map depends on m
+/// only through that parity.
+void unit_ring_weights(index_t L, index_t nlat, index_t i, double sign,
+                       const fft::Plan& colat_fft, double* w_re,
+                       double* w_im) {
+  const index_t n_ext = 2 * nlat - 2;
+  const index_t off = L - 1;  // array offset for signed m' and n
+  std::vector<cplx> ext(static_cast<std::size_t>(n_ext), cplx{0.0, 0.0});
+  ext[static_cast<std::size_t>(i)] = 1.0;
+  // The extension reads ext[k] = sign * G[n_ext - k] for k >= nlat.
+  if (i > 0 && i < nlat - 1) ext[static_cast<std::size_t>(n_ext - i)] = sign;
+  colat_fft.forward(ext.data());
+  std::vector<cplx> kvals(static_cast<std::size_t>(2 * L - 1));
+  for (index_t mp = -off; mp <= off; ++mp) {
+    kvals[static_cast<std::size_t>(mp + off)] =
+        ext[static_cast<std::size_t>((mp + n_ext) % n_ext)] /
+        static_cast<double>(n_ext);
+  }
+  // I(q) for q = -2(L-1)..2(L-1) at index q + 2(L-1), split into its real
+  // (even q) and imaginary (q = +-1) parts.
+  std::vector<double> i_re(static_cast<std::size_t>(4 * off + 1), 0.0);
+  std::vector<double> i_im(i_re.size(), 0.0);
+  for (index_t q = -2 * off; q <= 2 * off; q += 2) {
+    i_re[static_cast<std::size_t>(q + 2 * off)] = colatitude_integral(q);
+  }
+  if (off > 0) {
+    i_im[static_cast<std::size_t>(2 * off + 1)] = kPi / 2.0;
+    i_im[static_cast<std::size_t>(2 * off - 1)] = -kPi / 2.0;
+  }
+  // Accumulated m' by m' (an axpy over n per m', which vectorizes); Re/Im
+  // I(n + m') sits at index (n + off) + (m' + off).
+  std::fill_n(w_re, 2 * L - 1, 0.0);
+  std::fill_n(w_im, 2 * L - 1, 0.0);
+  for (index_t j = 0; j <= 2 * off; ++j) {
+    const double kr = kvals[static_cast<std::size_t>(j)].real();
+    const double ki = kvals[static_cast<std::size_t>(j)].imag();
+    const double* ire = i_re.data() + j;
+    const double* iim = i_im.data() + j;
+    for (index_t t = 0; t <= 2 * off; ++t) {
+      w_re[t] += kr * ire[t] - ki * iim[t];
+      w_im[t] += kr * iim[t] + ki * ire[t];
+    }
+  }
+}
+
+}  // namespace
+
+index_t SHTPlan::batch_fields() { return kBatchFields; }
 
 SHTPlan::SHTPlan(index_t band_limit, GridShape grid)
     : band_limit_(band_limit), grid_(grid) {
@@ -28,232 +93,256 @@ SHTPlan::SHTPlan(index_t band_limit, GridShape grid)
                 "need nlat >= L + 1 for exact colatitude recovery");
   EXACLIM_CHECK(grid.nlon >= 2 * band_limit - 1,
                 "need nlon >= 2L - 1 for exact longitude recovery");
-  wigner_ = get_wigner_table(band_limit);
-  std::vector<double> colats(static_cast<std::size_t>(grid.nlat));
-  for (index_t i = 0; i < grid.nlat; ++i) {
-    colats[static_cast<std::size_t>(i)] = grid.colatitude(i);
-  }
-  legendre_ = std::make_unique<LegendreTable>(band_limit, colats);
+  const index_t L = band_limit;
+  const index_t nlat = grid.nlat;
   fft_lon_ = fft::get_plan(grid.nlon);
-  n_ext_ = 2 * grid.nlat - 2;
-  fft_colat_ = fft::get_plan(n_ext_);
-
-  // Densely packed even-q I(q) table for q in [-(2L-2), 2L-2]: the W
-  // accumulation in analyze Steps 2-3 walks it with unit stride. Odd q never
-  // need a table — I(q) vanishes for odd |q| > 1 and the q = +-1 values
-  // (+-i pi/2) are patched inline.
-  const index_t qmax = 2 * (band_limit_ - 1);
-  i_even_.resize(static_cast<std::size_t>(2 * band_limit_ - 1));
-  for (index_t q = -qmax; q <= qmax; q += 2) {
-    i_even_[static_cast<std::size_t>((q + qmax) / 2)] = colatitude_integral(q);
+  order_offset_.resize(static_cast<std::size_t>(L + 1));
+  order_offset_[0] = 0;
+  for (index_t m = 0; m < L; ++m) {
+    order_offset_[static_cast<std::size_t>(m + 1)] =
+        order_offset_[static_cast<std::size_t>(m)] + (L - m) * nlat;
   }
+  const auto total = static_cast<std::size_t>(order_offset_.back());
+  analysis_.resize(total);
+  synthesis_.resize(total);
 
-  // Fused Wigner products d^l_{n,0} * d^l_{n,m} for Step 4 of the analysis,
-  // flattened so each (l, m) row of 2l+1 values is contiguous.
-  fused_offset_.resize(static_cast<std::size_t>(tri_count(band_limit_)));
-  index_t total = 0;
-  for (index_t l = 0; l < band_limit_; ++l) {
-    for (index_t m = 0; m <= l; ++m) {
-      fused_offset_[static_cast<std::size_t>(tri_index(l, m))] = total;
-      total += 2 * l + 1;
+  // Synthesis: H_m(theta_i) = sum_{l >= m} z_{l,m} Pbar_l^m(cos theta_i),
+  // with z_{l,m} read from the packed row (packed / sqrt 2 for m > 0).
+  {
+    std::vector<double> colats(static_cast<std::size_t>(nlat));
+    for (index_t i = 0; i < nlat; ++i) {
+      colats[static_cast<std::size_t>(i)] = grid.colatitude(i);
     }
+    const LegendreTable legendre(L, colats);
+    common::parallel_for(0, L, [&](index_t m) {
+      const index_t len = L - m;
+      const double scale = m == 0 ? -1.0 : -1.0 / kSqrt2;
+      double* block =
+          synthesis_.data() + order_offset_[static_cast<std::size_t>(m)];
+      for (index_t i = 0; i < nlat; ++i) {
+        for (index_t l = m; l < L; ++l) {
+          block[i * len + (l - m)] = scale * legendre.value(i, l, m);
+        }
+      }
+    });
   }
-  fused_wigner_.resize(static_cast<std::size_t>(total));
-  common::parallel_for(0, band_limit_, [&](index_t l) {
-    for (index_t m = 0; m <= l; ++m) {
-      double* row = fused_wigner_.data() +
-                    fused_offset_[static_cast<std::size_t>(tri_index(l, m))];
+
+  // Analysis: steps 2-4 on each unit ring input e_i. Steps 2-3 depend on m
+  // only through its parity, so W is tabulated once per (parity, ring).
+  // z_{l,m}(e_i) = i^{-m} norm_l sum_n d^l_{n,0} d^l_{n,m} W_{m,n} is real up
+  // to rounding (see the header): for even m only Re W contributes, for odd
+  // m only Im W, with the sign s_m = +1 for m mod 4 in {0, 1}, else -1. Step
+  // 4 is then one GEMM per order, the zero-padded fused Wigner rows of
+  // degrees m..L-1 against that part of W for every ring, and each row is
+  // scaled by s_m norm_l, the longitude FFT normalization pi / nlon (the
+  // two-ring split doubles G_m) and the pack_real factor.
+  const index_t nw = 2 * L - 1;
+  std::vector<double> w_part(static_cast<std::size_t>(2 * nlat * nw));
+  {
+    const std::shared_ptr<const fft::Plan> colat_fft =
+        fft::get_plan(2 * nlat - 2);
+    common::parallel_for(0, 2 * nlat, [&](index_t slot) {
+      const bool odd = slot >= nlat;
+      std::vector<double> re(static_cast<std::size_t>(nw));
+      std::vector<double> im(re.size());
+      unit_ring_weights(L, nlat, slot % nlat, odd ? -1.0 : 1.0, *colat_fft,
+                        re.data(), im.data());
+      std::copy(odd ? im.begin() : re.begin(), odd ? im.end() : re.end(),
+                w_part.begin() + slot * nw);
+    });
+  }
+  const std::shared_ptr<const WignerPiHalfTable> wigner = get_wigner_table(L);
+  const double lon_scale = kPi / static_cast<double>(grid.nlon);
+  common::parallel_for(0, L, [&](index_t m) {
+    const index_t len = L - m;
+    // Row l-m: d^l_{n,0} d^l_{n,m} at column n + L-1, zero for |n| > l.
+    std::vector<double> fused(static_cast<std::size_t>(len * nw), 0.0);
+    for (index_t l = m; l < L; ++l) {
       for (index_t n = -l; n <= l; ++n) {
-        row[n + l] = wigner_->value(l, n, 0) * wigner_->value(l, n, m);
+        fused[static_cast<std::size_t>((l - m) * nw + n + L - 1)] =
+            wigner->value(l, n, 0) * wigner->value(l, n, m);
       }
     }
+    double* block =
+        analysis_.data() + order_offset_[static_cast<std::size_t>(m)];
+    std::fill_n(block, static_cast<std::size_t>(len * nlat), 0.0);
+    linalg::gemm_nt_minus_f64(
+        fused.data(),
+        w_part.data() + static_cast<std::size_t>((m % 2) * nlat * nw), block,
+        len, nlat, nw);
+    const double sign = m % 4 < 2 ? 1.0 : -1.0;
+    const double pack = m == 0 ? 1.0 : kSqrt2;
+    for (index_t l = m; l < L; ++l) {
+      const double scale = sign * pack * lon_scale *
+                           std::sqrt((2.0 * l + 1.0) / (4.0 * kPi));
+      double* row = block + (l - m) * nlat;
+      for (index_t i = 0; i < nlat; ++i) row[i] *= scale;
+    }
   });
+}
+
+void SHTPlan::analyze_packed(std::span<const double> fields, index_t count,
+                             std::span<double> out) const {
+  const index_t L = band_limit_;
+  const index_t nlat = grid_.nlat;
+  const index_t nlon = grid_.nlon;
+  const index_t np = grid_.num_points();
+  const index_t nc = L * L;
+  EXACLIM_CHECK(count >= 0 && static_cast<index_t>(fields.size()) == count * np,
+                "fields must hold count * nlat * nlon values");
+  EXACLIM_CHECK(static_cast<index_t>(out.size()) == count * nc,
+                "output must hold count * L^2 packed coefficients");
+  if (count == 0) return;
+  const index_t kmax = std::min(count, kBatchFields);
+  // Order-major G panels: order m holds 2k rows (Re/Im of G_m per field) of
+  // nlat ring values, the right-hand sides of that order's GEMM.
+  std::vector<double> panel(static_cast<std::size_t>(L * 2 * kmax * nlat));
+  std::vector<double> result(static_cast<std::size_t>(L * 2 * kmax));
+  std::vector<cplx> row(static_cast<std::size_t>(nlon));
+  double* x = reinterpret_cast<double*>(row.data());
+  for (index_t k0 = 0; k0 < count; k0 += kBatchFields) {
+    const index_t kb = std::min(kBatchFields, count - k0);
+    const index_t cols = 2 * kb;
+    // Step 1: longitude FFT of rings i and i+1 as one complex signal
+    // a + i b. Then A_m = (X_m + conj X_{-m}) / 2 and
+    // B_m = (X_m - conj X_{-m}) / 2i; the 1/2 and the 2 pi / nlon FFT
+    // normalization live in the analysis matrices. An odd last ring is
+    // paired with a zero ring.
+    for (index_t k = 0; k < kb; ++k) {
+      const double* f = fields.data() + (k0 + k) * np;
+      for (index_t i = 0; i < nlat; i += 2) {
+        const bool pair = i + 1 < nlat;
+        const double* ra = f + i * nlon;
+        const double* rb = pair ? ra + nlon : nullptr;
+        for (index_t j = 0; j < nlon; ++j) {
+          x[2 * j] = ra[j];
+          x[2 * j + 1] = pair ? rb[j] : 0.0;
+        }
+        fft_lon_->forward(row.data());
+        for (index_t m = 0; m < L; ++m) {
+          const index_t mn = m == 0 ? 0 : nlon - m;
+          const double xr = x[2 * m], xi = x[2 * m + 1];
+          const double yr = x[2 * mn], yi = x[2 * mn + 1];
+          double* re = panel.data() + (m * cols + 2 * k) * nlat;
+          double* im = re + nlat;
+          re[i] = xr + yr;
+          im[i] = xi - yi;
+          if (pair) {
+            re[i + 1] = xi + yi;
+            im[i + 1] = yr - xr;
+          }
+        }
+      }
+    }
+    // Steps 2-4: one GEMM per order, scattered straight into packed rows.
+    for (index_t m = 0; m < L; ++m) {
+      const index_t len = L - m;
+      std::fill_n(result.data(), static_cast<std::size_t>(len * cols), 0.0);
+      linalg::gemm_nt_minus_f64(
+          analysis_.data() + order_offset_[static_cast<std::size_t>(m)],
+          panel.data() + m * cols * nlat, result.data(), len, cols, nlat);
+      for (index_t k = 0; k < kb; ++k) {
+        double* dst = out.data() + (k0 + k) * nc;
+        for (index_t l = m; l < L; ++l) {
+          const double* r = result.data() + (l - m) * cols + 2 * k;
+          if (m == 0) {
+            dst[l * l] = r[0];
+          } else {
+            dst[l * l + 2 * m - 1] = r[0];
+            dst[l * l + 2 * m] = r[1];
+          }
+        }
+      }
+    }
+  }
+}
+
+void SHTPlan::synthesize_packed(std::span<const double> packed, index_t count,
+                                std::span<double> out) const {
+  const index_t L = band_limit_;
+  const index_t nlat = grid_.nlat;
+  const index_t nlon = grid_.nlon;
+  const index_t np = grid_.num_points();
+  const index_t nc = L * L;
+  EXACLIM_CHECK(count >= 0 && static_cast<index_t>(packed.size()) == count * nc,
+                "input must hold count * L^2 packed coefficients");
+  EXACLIM_CHECK(static_cast<index_t>(out.size()) == count * np,
+                "output must hold count * nlat * nlon values");
+  if (count == 0) return;
+  const index_t kmax = std::min(count, kBatchFields);
+  // coef: one order's right-hand sides, 2k rows (Re/Im per field) of L-m
+  // degrees. h: order-major H_m panels, nlat rows of 2k columns each.
+  std::vector<double> coef(static_cast<std::size_t>(2 * kmax * L));
+  std::vector<double> h(static_cast<std::size_t>(L * nlat * 2 * kmax));
+  std::vector<cplx> row(static_cast<std::size_t>(nlon));
+  double* y = reinterpret_cast<double*>(row.data());
+  for (index_t k0 = 0; k0 < count; k0 += kBatchFields) {
+    const index_t kb = std::min(kBatchFields, count - k0);
+    const index_t cols = 2 * kb;
+    for (index_t m = 0; m < L; ++m) {
+      const index_t len = L - m;
+      for (index_t k = 0; k < kb; ++k) {
+        const double* src = packed.data() + (k0 + k) * nc;
+        double* re = coef.data() + 2 * k * len;
+        double* im = re + len;
+        for (index_t l = m; l < L; ++l) {
+          re[l - m] = m == 0 ? src[l * l] : src[l * l + 2 * m - 1];
+          im[l - m] = m == 0 ? 0.0 : src[l * l + 2 * m];
+        }
+      }
+      double* hm = h.data() + m * nlat * cols;
+      std::fill_n(hm, static_cast<std::size_t>(nlat * cols), 0.0);
+      linalg::gemm_nt_minus_f64(
+          synthesis_.data() + order_offset_[static_cast<std::size_t>(m)],
+          coef.data(), hm, nlat, cols, len);
+    }
+    // Z(theta_i, phi_j) = sum_m H_m e^{i m phi_j} with conj(H_m) in the
+    // negative-frequency bins. Rings i and i+1 travel as one signal
+    // X = A + i B, and nlon * IDFT(X) = conj(DFT(conj X)), so a forward FFT
+    // of conj X yields ring i in its real and ring i+1 in its negated
+    // imaginary part, with no normalization pass.
+    for (index_t k = 0; k < kb; ++k) {
+      double* f = out.data() + (k0 + k) * np;
+      for (index_t i = 0; i < nlat; i += 2) {
+        const bool pair = i + 1 < nlat;
+        std::fill(row.begin(), row.end(), cplx{0.0, 0.0});
+        for (index_t m = 0; m < L; ++m) {
+          const double* hi = h.data() + (m * nlat + i) * cols + 2 * k;
+          const double ar = hi[0], ai = hi[1];
+          const double br = pair ? hi[cols] : 0.0;
+          const double bi = pair ? hi[cols + 1] : 0.0;
+          y[2 * m] = ar - bi;
+          y[2 * m + 1] = -(ai + br);
+          if (m > 0) {
+            y[2 * (nlon - m)] = ar + bi;
+            y[2 * (nlon - m) + 1] = ai - br;
+          }
+        }
+        fft_lon_->forward(row.data());
+        double* ra = f + i * nlon;
+        for (index_t j = 0; j < nlon; ++j) ra[j] = y[2 * j];
+        if (pair) {
+          double* rb = ra + nlon;
+          for (index_t j = 0; j < nlon; ++j) rb[j] = -y[2 * j + 1];
+        }
+      }
+    }
+  }
 }
 
 std::vector<cplx> SHTPlan::analyze(std::span<const double> field) const {
   EXACLIM_CHECK(static_cast<index_t>(field.size()) == grid_.num_points(),
                 "field size must be nlat*nlon");
-  const index_t L = band_limit_;
-  const index_t nlat = grid_.nlat;
-  const index_t nlon = grid_.nlon;
-
-  // Step 1: G_m(theta_i) for m = 0..L-1 (real field: negative m are
-  // conjugates and never needed, because we only output z_{l,m>=0}).
-  // Layout: gm[m * nlat + i]. Rings are independent; each worker keeps a
-  // persistent FFT scratch row across calls.
-  std::vector<cplx> gm(static_cast<std::size_t>(L * nlat));
-  {
-    const double scale = kTwoPi / static_cast<double>(nlon);
-    common::parallel_for(0, nlat, [&](index_t i) {
-      thread_local std::vector<cplx> row;
-      row.resize(static_cast<std::size_t>(nlon));
-      for (index_t j = 0; j < nlon; ++j) {
-        row[static_cast<std::size_t>(j)] =
-            cplx{field[static_cast<std::size_t>(i * nlon + j)], 0.0};
-      }
-      fft_lon_->forward(row.data());
-      for (index_t m = 0; m < L; ++m) {
-        gm[static_cast<std::size_t>(m * nlat + i)] =
-            scale * row[static_cast<std::size_t>(m)];
-      }
-    });
-  }
-
-  // Steps 2-3: per order m, extend along colatitude, recover K_{m,m'}, and
-  // accumulate W_{m,n} = sum_{m'} K_{m,m'} I(n + m'). Orders are independent.
-  //
-  // I(q) vanishes for odd |q| > 1, so the sum regroups by parity: even
-  // q = n + m' means m' must share n's parity, and splitting the K values
-  // into even/odd-m' real/imag arrays turns the per-n reduction into
-  // contiguous branch-free dot products against the packed i_even_ table
-  // (the seed walked every (m', n) pair and branched on a zero test per
-  // term). The only odd-q survivors, q = +-1, are patched in afterwards.
-  // Layout: w[m * (2L-1) + (n + L-1)].
-  const index_t nw = 2 * L - 1;
-  std::vector<cplx> w(static_cast<std::size_t>(L * nw));
-  {
-    const index_t qmax = 2 * (L - 1);
-    const index_t off = L - 1;  // array offset for signed m' and n
-    // Lowest/highest even and odd m' in [-(L-1), L-1], and their counts.
-    const index_t mp_even0 = (off % 2 == 0) ? -off : -(off - 1);
-    const index_t mp_odd0 = (off % 2 == 0) ? -(off - 1) : -off;
-    const index_t mp_even_last = (off % 2 == 0) ? off : off - 1;
-    const index_t mp_odd_last = (off % 2 == 0) ? off - 1 : off;
-    const index_t n_even = (mp_even_last - mp_even0) / 2 + 1;
-    const index_t n_odd = off > 0 ? (mp_odd_last - mp_odd0) / 2 + 1 : 0;
-    common::parallel_for(0, L, [&](index_t m) {
-      thread_local std::vector<cplx> ext;
-      thread_local std::vector<cplx> kvals;
-      thread_local std::vector<double> ksplit;
-      ext.resize(static_cast<std::size_t>(n_ext_));
-      kvals.resize(static_cast<std::size_t>(nw));
-      ksplit.resize(static_cast<std::size_t>(2 * (n_even + n_odd)));
-      const double sign = (m % 2 == 0) ? 1.0 : -1.0;
-      const cplx* g = gm.data() + static_cast<std::size_t>(m * nlat);
-      for (index_t k = 0; k < nlat; ++k) ext[static_cast<std::size_t>(k)] = g[k];
-      for (index_t k = nlat; k < n_ext_; ++k) {
-        ext[static_cast<std::size_t>(k)] = sign * g[n_ext_ - k];
-      }
-      fft_colat_->forward(ext.data());
-      const double inv_next = 1.0 / static_cast<double>(n_ext_);
-      // K_{m,m'} = ext-bin(m' mod n_ext) / n_ext for |m'| <= L-1.
-      for (index_t mp = -off; mp <= off; ++mp) {
-        const index_t bin = (mp % n_ext_ + n_ext_) % n_ext_;
-        kvals[static_cast<std::size_t>(mp + off)] =
-            ext[static_cast<std::size_t>(bin)] * inv_next;
-      }
-      // Parity-split K into packed re/im arrays.
-      double* ke_re = ksplit.data();
-      double* ke_im = ke_re + n_even;
-      double* ko_re = ke_im + n_even;
-      double* ko_im = ko_re + n_odd;
-      for (index_t s = 0; s < n_even; ++s) {
-        const cplx v = kvals[static_cast<std::size_t>(mp_even0 + 2 * s + off)];
-        ke_re[s] = v.real();
-        ke_im[s] = v.imag();
-      }
-      for (index_t s = 0; s < n_odd; ++s) {
-        const cplx v = kvals[static_cast<std::size_t>(mp_odd0 + 2 * s + off)];
-        ko_re[s] = v.real();
-        ko_im[s] = v.imag();
-      }
-      cplx* wrow = w.data() + static_cast<std::size_t>(m * nw);
-      for (index_t n = -off; n <= off; ++n) {
-        const bool even_n = ((n % 2) + 2) % 2 == 0;
-        const index_t mp0 = even_n ? mp_even0 : mp_odd0;
-        const index_t cnt = even_n ? n_even : n_odd;
-        const double* kre = even_n ? ke_re : ko_re;
-        const double* kim = even_n ? ke_im : ko_im;
-        const double* ie =
-            i_even_.data() + static_cast<std::size_t>((n + mp0 + qmax) / 2);
-        double re = 0.0, im = 0.0;
-        for (index_t s = 0; s < cnt; ++s) {
-          re += kre[s] * ie[s];
-          im += kim[s] * ie[s];
-        }
-        // Odd-q patch: I(+-1) = +-i pi/2 at m' = +-1 - n.
-        cplx acc{re, im};
-        if (std::abs(1 - n) <= off) {
-          acc += kvals[static_cast<std::size_t>(1 - n + off)] *
-                 cplx{0.0, kPi / 2.0};
-        }
-        if (std::abs(-1 - n) <= off) {
-          acc += kvals[static_cast<std::size_t>(-1 - n + off)] *
-                 cplx{0.0, -kPi / 2.0};
-        }
-        wrow[static_cast<std::size_t>(n + off)] = acc;
-      }
-    });
-  }
-
-  // Step 4: z_{l,m} = i^{-m} sqrt((2l+1)/(4 pi)) *
-  //                   sum_{n=-l}^{l} d_{n,0} d_{n,m} W_{m,n}.
-  // The Wigner products are prefused per (l, m) into fused_wigner_, so the
-  // reduction is a contiguous dot product; per-l coefficient slices are
-  // disjoint (tri_index(l, 0..l) is contiguous).
-  std::vector<cplx> coeffs(static_cast<std::size_t>(tri_count(L)));
-  static const cplx kIPowNeg[4] = {cplx{1, 0}, cplx{0, -1}, cplx{-1, 0},
-                                   cplx{0, 1}};
-  common::parallel_for(0, L, [&](index_t l) {
-    const double norm = std::sqrt((2.0 * l + 1.0) / (4.0 * kPi));
-    const index_t len = 2 * l + 1;
-    for (index_t m = 0; m <= l; ++m) {
-      const double* f = fused_wigner_.data() +
-                        fused_offset_[static_cast<std::size_t>(tri_index(l, m))];
-      const cplx* ws =
-          w.data() + static_cast<std::size_t>(m * nw + (L - 1 - l));
-      double re = 0.0, im = 0.0;
-      for (index_t t = 0; t < len; ++t) {
-        re += f[t] * ws[t].real();
-        im += f[t] * ws[t].imag();
-      }
-      coeffs[static_cast<std::size_t>(tri_index(l, m))] =
-          kIPowNeg[m % 4] * norm * cplx{re, im};
-    }
-  });
-  return coeffs;
+  std::vector<double> packed(static_cast<std::size_t>(band_limit_ * band_limit_));
+  analyze_packed(field, 1, packed);
+  return unpack_real(band_limit_, packed);
 }
 
 std::vector<double> SHTPlan::synthesize(std::span<const cplx> coeffs) const {
   EXACLIM_CHECK(static_cast<index_t>(coeffs.size()) == tri_count(band_limit_),
                 "coefficient count must match band limit");
-  const index_t L = band_limit_;
-  const index_t nlat = grid_.nlat;
-  const index_t nlon = grid_.nlon;
   std::vector<double> field(static_cast<std::size_t>(grid_.num_points()));
-
-  // Rings are independent: each worker reuses persistent FFT/accumulator
-  // scratch across rings and across synthesize calls.
-  common::parallel_for(0, nlat, [&](index_t i) {
-    thread_local std::vector<cplx> bins;
-    thread_local std::vector<cplx> h;
-    bins.resize(static_cast<std::size_t>(nlon));
-    h.resize(static_cast<std::size_t>(L));
-    const double* leg = legendre_->row(i);
-    // H_m(theta_i) = sum_{l >= m} z_{l,m} Pbar_l^m(cos theta_i).
-    for (index_t m = 0; m < L; ++m) {
-      cplx acc{0.0, 0.0};
-      for (index_t l = m; l < L; ++l) {
-        acc += coeffs[static_cast<std::size_t>(tri_index(l, m))] *
-               leg[tri_index(l, m)];
-      }
-      h[static_cast<std::size_t>(m)] = acc;
-    }
-    // Z(theta_i, phi_j) = sum_m H_m e^{i m phi_j}; real-field symmetry puts
-    // conj(H_m) into the negative-frequency bins.
-    std::fill(bins.begin(), bins.end(), cplx{0.0, 0.0});
-    bins[0] = h[0];
-    for (index_t m = 1; m < L; ++m) {
-      bins[static_cast<std::size_t>(m)] += h[static_cast<std::size_t>(m)];
-      bins[static_cast<std::size_t>(nlon - m)] +=
-          std::conj(h[static_cast<std::size_t>(m)]);
-    }
-    fft_lon_->inverse(bins.data());
-    for (index_t j = 0; j < nlon; ++j) {
-      field[static_cast<std::size_t>(i * nlon + j)] =
-          bins[static_cast<std::size_t>(j)].real() * static_cast<double>(nlon);
-    }
-  });
+  synthesize_packed(pack_real(band_limit_, coeffs), 1, field);
   return field;
 }
 

@@ -11,13 +11,25 @@
 //   4. z_{l,m}   = i^{-m} sqrt((2l+1)/(4 pi)) *
 //                  sum_{n=-l}^{l} d^l_{n,0}(pi/2) d^l_{n,m}(pi/2) W_{m,n}.
 //
+// Steps 2-4 are a fixed linear map from the column G_m(theta_0..N_theta-1)
+// to z_{m..L-1,m}, and that map is real: z_{.,m} = A_m G_m with A_m a real
+// (L-m) x N_theta matrix (the i^{-m} phase and the imaginary odd-q
+// integrals combine into a sign). The plan therefore runs steps 2-4 once, at
+// construction, on unit ring inputs to tabulate A_m, and an analysis is then
+// step 1 plus one real GEMM per order over a batch of fields (the batched
+// Legendre stage of Schaeffer, "Efficient spherical harmonic transforms
+// aimed at pseudospectral numerical simulations", G-cubed 2013). The
+// tabulation costs O(L^4) once per plan; its step 4 is itself one GEMM per
+// order.
+//
 // The transform is *exact* for fields band-limited at degree L when
 // N_phi >= 2L - 1 and N_theta >= L + 1 (grid includes both poles), which the
 // round-trip property tests assert to ~1e-11 relative error.
 //
-// Inverse synthesis uses direct Legendre summation per longitude order plus
-// an FFT along longitude; both directions cost O(L^3) per time slot as in the
-// paper's complexity analysis.
+// Inverse synthesis is the mirror image: one GEMM per order against the
+// Legendre table, then an inverse FFT along longitude. Both directions cost
+// O(L^3) per time slot as in the paper's complexity analysis; the longitude
+// FFTs transform two real rings per complex FFT.
 #pragma once
 
 #include <memory>
@@ -27,7 +39,6 @@
 #include "common/types.hpp"
 #include "fft/fft.hpp"
 #include "sht/legendre.hpp"
-#include "sht/wigner.hpp"
 
 namespace exaclim::sht {
 
@@ -50,12 +61,19 @@ struct GridShape {
 /// The analytic integral I(q) of Eq. (8).
 double colatitude_integral(index_t q);
 
-/// Reusable SHT of fixed band limit and grid. Construction precomputes the
-/// Wigner-d(pi/2) table, the Legendre table, FFT plans, the I(q) table, and a
-/// flat table of fused products d^l_{n,0} * d^l_{n,m} (the paper's
-/// pre-computation strategy); analyze/synthesize are then thread-safe, run
-/// their ring/order loops on the shared worker pool, and reuse per-thread
-/// scratch buffers, so many time slots can be transformed concurrently.
+/// Reusable SHT of fixed band limit and grid. Construction tabulates, per
+/// order m, the real analysis matrix A_m (steps 2-4 run on unit ring inputs,
+/// with the pack_real scaling folded in) and the synthesis matrix
+/// Pbar_l^m(cos theta_i) (with the unpack_real scaling folded in); the
+/// colatitude FFT, the I(q) table and the Wigner products are needed only
+/// there.
+///
+/// Transform calls are serial and const, so one plan is shared by any
+/// number of threads: callers parallelize across batches of fields (see
+/// batch_fields()), never inside a call. Each call allocates its scratch
+/// for its own duration. A field's result depends only on the field, not on
+/// the batch it came in or its position there, so any split of the work
+/// gives byte-identical coefficients.
 class SHTPlan {
  public:
   SHTPlan(index_t band_limit, GridShape grid);
@@ -63,11 +81,28 @@ class SHTPlan {
   index_t band_limit() const { return band_limit_; }
   const GridShape& grid() const { return grid_; }
 
-  /// Forward analysis of a real row-major field (nlat x nlon) into packed
-  /// complex coefficients z_{l,m}, m >= 0 (tri_index layout).
+  /// Fields per GEMM batch: the packed calls below transform this many
+  /// fields at a time, and callers that split work across threads hand out
+  /// batches of this size.
+  static index_t batch_fields();
+
+  /// Forward analysis of `count` real row-major fields (nlat x nlon each,
+  /// back to back in `fields`) into `count` packed real coefficient rows of
+  /// length L^2 (pack_real layout) in `out`.
+  void analyze_packed(std::span<const double> fields, index_t count,
+                      std::span<double> out) const;
+
+  /// Synthesis of `count` real row-major fields into `out` from `count`
+  /// packed real coefficient rows (pack_real layout, L^2 each).
+  void synthesize_packed(std::span<const double> packed, index_t count,
+                         std::span<double> out) const;
+
+  /// Forward analysis of one field into complex coefficients z_{l,m},
+  /// m >= 0 (tri_index layout): analyze_packed with count 1, unpacked.
   std::vector<cplx> analyze(std::span<const double> field) const;
 
-  /// Synthesis of a real row-major field from packed complex coefficients.
+  /// Synthesis of one field from complex coefficients: pack_real, then
+  /// synthesize_packed with count 1.
   std::vector<double> synthesize(std::span<const cplx> coeffs) const;
 
   /// Power spectrum C_l = (1/(2l+1)) sum_m |z_{l,m}|^2 (over all m, using the
@@ -77,18 +112,15 @@ class SHTPlan {
  private:
   index_t band_limit_;
   GridShape grid_;
-  std::shared_ptr<const WignerPiHalfTable> wigner_;
-  std::unique_ptr<LegendreTable> legendre_;
   std::shared_ptr<const fft::Plan> fft_lon_;
-  std::shared_ptr<const fft::Plan> fft_colat_;
-  std::vector<double> i_even_;  // I(q) for even q, packed at (q+2L-2)/2
-  index_t n_ext_ = 0;           // 2*nlat - 2
-
-  // Fused Wigner products for the analysis Step 4: row tri_index(l, m) holds
-  // d^l_{n,0}(pi/2) * d^l_{n,m}(pi/2) for n = -l..l, so the per-coefficient
-  // reduction is a contiguous real-times-complex dot product.
-  std::vector<double> fused_wigner_;
-  std::vector<index_t> fused_offset_;  // offset of row (l, m), tri_index order
+  // Per-order GEMM operands, both negated for the C -= A * B^T engine.
+  // Order m's block starts at order_offset_[m] in each and holds
+  // (L-m) * nlat values: analysis_ row-major (L-m) x nlat (row l-m maps the
+  // ring columns to packed z_{l,m}), synthesis_ row-major nlat x (L-m) (row
+  // i maps packed z_{m..L-1,m} to H_m(theta_i)).
+  std::vector<double> analysis_;
+  std::vector<double> synthesis_;
+  std::vector<index_t> order_offset_;
 };
 
 /// Reference forward analysis via brute-force quadrature of Eq. (4) using

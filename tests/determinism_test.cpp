@@ -14,6 +14,7 @@
 #include "common/io.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/consistency.hpp"
 #include "core/emulator.hpp"
 #include "core/multivariate.hpp"
 #include "core/serialize.hpp"
@@ -326,6 +327,33 @@ TEST(EmulateDeterminism, MultivariateShortRunIsPrefixOfLongRun) {
                            leading_steps(long_run[v], 24)))
         << "variable " << v;
   }
+}
+
+// ---------- consistency ---------------------------------------------------------
+
+TEST(ConsistencyDeterminism, ReportBitIdenticalAtThreads1And4) {
+  // The spectrum comparison analyzes its subsampled fields in SHT batches
+  // across workers and sums the per-field spectra in field order, so the
+  // whole report is the same double for double at any width.
+  climate::SyntheticEsmConfig esm_cfg = tiny_esm();
+  esm_cfg.num_ensembles = 6;  // 96 subsampled fields: six SHT batches
+  const auto esm = climate::generate_synthetic_esm(esm_cfg);
+  core::ClimateEmulator emulator(tiny_config());
+  emulator.train(esm.data, esm.forcing);
+  const auto emu =
+      emulator.emulate(esm.data.num_steps(), 6, esm.forcing, 41);
+  auto flatten = [](const core::ConsistencyReport& r) {
+    const stats::MomentComparison& p = r.pooled;
+    return std::vector<double>{p.mean_a, p.mean_b, p.sd_a, p.sd_b,
+                               p.q05_a, p.q05_b, p.q95_a, p.q95_b,
+                               p.ks, r.mean_field_rel_rmse,
+                               r.sd_field_rel_rmse, r.acf_mad,
+                               r.spectrum_log10_mad};
+  };
+  const auto r1 = flatten(core::evaluate_consistency(esm.data, emu, 8, 1));
+  const auto r4 = flatten(core::evaluate_consistency(esm.data, emu, 8, 4));
+  EXPECT_TRUE(same_bytes(r1, r4));
+  EXPECT_GT(r1.back(), 0.0);  // the spectra were compared at all
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -169,6 +171,229 @@ TEST(Sht, MatchesLeastSquaresReference) {
   const auto fast = plan.analyze(field);
   const auto reference = analyze_reference(L, grid, field);
   EXPECT_LT(max_coeff_diff(fast, reference), 1e-9);
+}
+
+// ---------- batched transforms -------------------------------------------------
+//
+// analyze_packed / synthesize_packed transform K fields per call through one
+// GEMM per order. A field's bytes must not depend on the batch it rides in:
+// the emulator's thread-count byte identity rests on that.
+
+struct BatchCase {
+  index_t band_limit;
+  bool oversampled;  // (L+3) x (2L+5), odd nlon; else the default (L+1) x 2L
+};
+
+void PrintTo(const BatchCase& c, std::ostream* os) {
+  *os << "L=" << c.band_limit << (c.oversampled ? " oversampled" : " default");
+}
+
+GridShape batch_grid(const BatchCase& c) {
+  const index_t L = c.band_limit;
+  return c.oversampled ? GridShape{L + 3, 2 * L + 5} : GridShape{L + 1, 2 * L};
+}
+
+std::vector<double> random_values(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.normal();
+  return v;
+}
+
+bool same_bytes(const double* a, const double* b, index_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(double)) == 0;
+}
+
+/// Runs `call(first, count)` over [0, K) cut at `cuts` and returns the
+/// concatenated outputs, each piece computed by its own call.
+template <typename Call>
+std::vector<double> run_split(index_t K, index_t out_stride,
+                              const std::vector<index_t>& cuts, Call call) {
+  std::vector<double> out(static_cast<std::size_t>(K * out_stride));
+  index_t lo = 0;
+  std::vector<index_t> ends = cuts;
+  ends.push_back(K);
+  for (index_t hi : ends) {
+    if (hi <= lo || hi > K) continue;
+    call(lo, hi - lo, out.data() + lo * out_stride);
+    lo = hi;
+  }
+  return out;
+}
+
+class ShtBatch : public ::testing::TestWithParam<BatchCase> {};
+
+TEST_P(ShtBatch, AnalyzeBatchesComposeExactly) {
+  const BatchCase bc = GetParam();
+  const index_t L = bc.band_limit;
+  const GridShape grid = batch_grid(bc);
+  const SHTPlan plan(L, grid);
+  const index_t np = grid.num_points();
+  const index_t nc = L * L;
+  for (const index_t K : {1, 2, 3, 16, 17, 64}) {
+    // Not band-limited: every ring and order carries signal.
+    const auto fields = random_values(static_cast<std::size_t>(K * np),
+                                      1000 + static_cast<std::uint64_t>(K));
+    auto call = [&](index_t first, index_t count, double* dst) {
+      plan.analyze_packed({fields.data() + first * np,
+                           static_cast<std::size_t>(count * np)},
+                          count, {dst, static_cast<std::size_t>(count * nc)});
+    };
+    const auto whole = run_split(K, nc, {}, call);
+    std::vector<index_t> singles;
+    for (index_t k = 1; k < K; ++k) singles.push_back(k);
+    EXPECT_TRUE(same_bytes(whole.data(), run_split(K, nc, singles, call).data(),
+                           K * nc))
+        << "K=" << K << " vs single-field calls";
+    const auto split = run_split(K, nc, {1, K / 2, K - 1}, call);
+    EXPECT_TRUE(same_bytes(whole.data(), split.data(), K * nc))
+        << "K=" << K << " vs a split batch";
+  }
+}
+
+TEST_P(ShtBatch, SynthesizeBatchesComposeExactly) {
+  const BatchCase bc = GetParam();
+  const index_t L = bc.band_limit;
+  const GridShape grid = batch_grid(bc);
+  const SHTPlan plan(L, grid);
+  const index_t np = grid.num_points();
+  const index_t nc = L * L;
+  for (const index_t K : {1, 2, 3, 16, 17, 64}) {
+    const auto packed = random_values(static_cast<std::size_t>(K * nc),
+                                      2000 + static_cast<std::uint64_t>(K));
+    auto call = [&](index_t first, index_t count, double* dst) {
+      plan.synthesize_packed({packed.data() + first * nc,
+                              static_cast<std::size_t>(count * nc)},
+                             count, {dst, static_cast<std::size_t>(count * np)});
+    };
+    const auto whole = run_split(K, np, {}, call);
+    std::vector<index_t> singles;
+    for (index_t k = 1; k < K; ++k) singles.push_back(k);
+    EXPECT_TRUE(same_bytes(whole.data(), run_split(K, np, singles, call).data(),
+                           K * np))
+        << "K=" << K << " vs single-field calls";
+    const auto split = run_split(K, np, {1, K / 2, K - 1}, call);
+    EXPECT_TRUE(same_bytes(whole.data(), split.data(), K * np))
+        << "K=" << K << " vs a split batch";
+  }
+}
+
+TEST_P(ShtBatch, SingleFieldCallsAreTheBatchedPath) {
+  // analyze / synthesize are count-1 packed calls plus (un)packing.
+  const BatchCase bc = GetParam();
+  const index_t L = bc.band_limit;
+  const GridShape grid = batch_grid(bc);
+  const SHTPlan plan(L, grid);
+  const auto coeffs = random_coeffs(L, 31);
+  const auto packed = pack_real(L, coeffs);
+  std::vector<double> field(static_cast<std::size_t>(grid.num_points()));
+  plan.synthesize_packed(packed, 1, field);
+  const auto single = plan.synthesize(coeffs);
+  EXPECT_TRUE(same_bytes(field.data(), single.data(), grid.num_points()));
+  std::vector<double> rec(static_cast<std::size_t>(L * L));
+  plan.analyze_packed(field, 1, rec);
+  const auto expect = unpack_real(L, rec);
+  const auto got = plan.analyze(field);
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(), got.size() * sizeof(cplx)),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ShtBatch,
+    ::testing::Values(BatchCase{4, false}, BatchCase{4, true},
+                      BatchCase{5, false}, BatchCase{5, true},
+                      BatchCase{16, false}, BatchCase{16, true},
+                      BatchCase{24, false},  // 25 x 48: Bluestein longitude FFT
+                      BatchCase{24, true}, BatchCase{33, false},
+                      BatchCase{33, true}));
+
+class ShtBatchReference : public ::testing::TestWithParam<BatchCase> {};
+
+TEST_P(ShtBatchReference, AnalyzeMatchesLeastSquaresReference) {
+  const BatchCase bc = GetParam();
+  const index_t L = bc.band_limit;
+  const GridShape grid = batch_grid(bc);
+  const SHTPlan plan(L, grid);
+  const index_t np = grid.num_points();
+  const index_t K = 3;
+  std::vector<double> fields;
+  for (index_t k = 0; k < K; ++k) {
+    const auto f =
+        plan.synthesize(random_coeffs(L, 60 + static_cast<std::uint64_t>(k)));
+    fields.insert(fields.end(), f.begin(), f.end());
+  }
+  std::vector<double> packed(static_cast<std::size_t>(K * L * L));
+  plan.analyze_packed(fields, K, packed);
+  for (index_t k = 0; k < K; ++k) {
+    const auto reference = pack_real(
+        L, analyze_reference(L, grid,
+                             {fields.data() + k * np,
+                              static_cast<std::size_t>(np)}));
+    for (index_t c = 0; c < L * L; ++c) {
+      EXPECT_NEAR(packed[static_cast<std::size_t>(k * L * L + c)],
+                  reference[static_cast<std::size_t>(c)], 1e-9)
+          << "L=" << L << " field " << k << " packed index " << c;
+    }
+  }
+}
+
+TEST_P(ShtBatchReference, SynthesizeMatchesDirectSum) {
+  // Z(theta, phi) = sum_l [ z_l0 P_l^0 + 2 sum_{m>0} Re(z_lm e^{i m phi}) P_l^m ].
+  const BatchCase bc = GetParam();
+  const index_t L = bc.band_limit;
+  const GridShape grid = batch_grid(bc);
+  const SHTPlan plan(L, grid);
+  const index_t np = grid.num_points();
+  const index_t K = 3;
+  std::vector<double> packed;
+  std::vector<std::vector<cplx>> coeffs;
+  for (index_t k = 0; k < K; ++k) {
+    coeffs.push_back(random_coeffs(L, 80 + static_cast<std::uint64_t>(k)));
+    const auto p = pack_real(L, coeffs.back());
+    packed.insert(packed.end(), p.begin(), p.end());
+  }
+  std::vector<double> fields(static_cast<std::size_t>(K * np));
+  plan.synthesize_packed(packed, K, fields);
+  std::vector<double> leg;
+  for (index_t i = 0; i < grid.nlat; ++i) {
+    legendre_all(L, std::cos(grid.colatitude(i)), leg);
+    for (index_t j = 0; j < grid.nlon; ++j) {
+      const double phi = grid.longitude(j);
+      for (index_t k = 0; k < K; ++k) {
+        const auto& c = coeffs[static_cast<std::size_t>(k)];
+        double z = 0.0;
+        for (index_t l = 0; l < L; ++l) {
+          z += c[static_cast<std::size_t>(tri_index(l, 0))].real() *
+               leg[static_cast<std::size_t>(tri_index(l, 0))];
+          for (index_t m = 1; m <= l; ++m) {
+            const cplx e{std::cos(m * phi), std::sin(m * phi)};
+            z += 2.0 * (c[static_cast<std::size_t>(tri_index(l, m))] * e).real() *
+                 leg[static_cast<std::size_t>(tri_index(l, m))];
+          }
+        }
+        EXPECT_NEAR(fields[static_cast<std::size_t>(k * np + i * grid.nlon + j)],
+                    z, 1e-10)
+            << "L=" << L << " field " << k << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LowDegree, ShtBatchReference,
+    ::testing::Values(BatchCase{4, false}, BatchCase{4, true},
+                      BatchCase{5, false}, BatchCase{5, true},
+                      BatchCase{8, false}, BatchCase{8, true}));
+
+TEST(Sht, PackedCallsRejectMismatchedSizes) {
+  const SHTPlan plan(4, GridShape{5, 8});
+  std::vector<double> fields(2 * 40), packed(2 * 16);
+  EXPECT_THROW(plan.analyze_packed(fields, 3, packed), InvalidArgument);
+  EXPECT_THROW(plan.analyze_packed(fields, 2, {packed.data(), 31}),
+               InvalidArgument);
+  EXPECT_THROW(plan.synthesize_packed(packed, 1, fields), InvalidArgument);
+  plan.analyze_packed({}, 0, {});  // an empty batch is a no-op
 }
 
 // ---------- Parseval / power spectrum ----------------------------------------
